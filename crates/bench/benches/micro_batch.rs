@@ -89,8 +89,7 @@ fn serve_inner_batched_vs_unbatched(c: &mut Criterion) {
             });
         });
         for batch in BATCH_SIZES {
-            // "batched" is the default serve path: since the bucketing
-            // refactor that means the sorted (bucket-preprocessed) pass.
+            // "batched" is the scheduler's fused serve_batch loop.
             group.bench_with_input(
                 BenchmarkId::new("batched", batch),
                 &batch,
@@ -100,22 +99,6 @@ fn serve_inner_batched_vs_unbatched(c: &mut Criterion) {
                         let mut acc = BatchOutcome::default();
                         for chunk in requests.chunks(batch) {
                             s.serve_batch(chunk, &dm, &mut acc);
-                        }
-                        black_box(acc)
-                    });
-                },
-            );
-            // The pre-bucketing fused loop, kept as an explicit point so the
-            // sorted-vs-unsorted win is a first-class benchmark artifact.
-            group.bench_with_input(
-                BenchmarkId::new("unsorted", batch),
-                &batch,
-                |bench, &batch| {
-                    bench.iter(|| {
-                        let mut s = algorithm.build_online(dm.clone(), DEGREE, ALPHA, 5);
-                        let mut acc = BatchOutcome::default();
-                        for chunk in requests.chunks(batch) {
-                            s.serve_batch_unsorted(chunk, &dm, &mut acc);
                         }
                         black_box(acc)
                     });
@@ -193,13 +176,15 @@ fn fill_batched_vs_unbatched(c: &mut Criterion) {
     group.finish();
 }
 
-/// Specials-density axis: the standard point at α ∈ {4, 10, 40}. The
+/// Specials-density axis: the standard point at α ∈ {4, 10, 40, 100,
+/// 400}. The
 /// Theorem-1 period `k_e = ⌈α/ℓ_e⌉` makes α the direct dial on how many
 /// requests take the Theorem-2 specials path (at α = 4 and fat-tree
 /// ℓ ∈ {2, 4}, k_e ∈ {1, 2}: most requests are special), so this group
 /// gates the specials fast path against the criterion baseline exactly
 /// like every other hot-path change: a regression hiding in the rare
-/// path shows up here before it shows up in the α = 10 headline.
+/// path shows up here before it shows up in the α = 10 headline. At
+/// α = 100–400 specials are rare and the ordinary-request loop dominates.
 fn serve_specials_density(c: &mut Criterion) {
     let dm = distances();
     let requests = zipf_requests();
@@ -209,7 +194,7 @@ fn serve_specials_density(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2))
         .throughput(Throughput::Elements(requests.len() as u64));
-    for alpha in [4u64, 10, 40] {
+    for alpha in [4u64, 10, 40, 100, 400] {
         group.bench_with_input(
             BenchmarkId::new("batched", alpha),
             &alpha,
@@ -229,35 +214,6 @@ fn serve_specials_density(c: &mut Criterion) {
                 });
             },
         );
-    }
-    group.finish();
-}
-
-/// Intra-run sharding: one simulation, the bucketing scan spread over an
-/// [`dcn_core::IntraPool`] of 1/2/4 workers (1 = no pool, the sequential
-/// sorted path). Reports are byte-identical at every width — this group
-/// measures what the sharding costs/buys on this host.
-fn serve_intra_widths(c: &mut Criterion) {
-    let dm = distances();
-    let mut group = c.benchmark_group("batch_intra_rbma_b12_zipf");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2))
-        .throughput(Throughput::Elements(LEN as u64));
-    let algorithm = AlgorithmKind::Rbma { lazy: true };
-    for intra in [1usize, 2, 4] {
-        group.bench_with_input(BenchmarkId::new("intra", intra), &intra, |bench, &intra| {
-            let config = SimConfig::default()
-                .with_batch_size(1024)
-                .with_intra_threads(intra);
-            let mut source = zipf_pair_source(RACKS, LEN, EXPONENT, 5);
-            bench.iter(|| {
-                source.reset();
-                let mut s = algorithm.build_online(dm.clone(), DEGREE, ALPHA, 5);
-                black_box(run(s.as_mut(), &dm, ALPHA, &mut source, &config))
-            });
-        });
     }
     group.finish();
 }
@@ -407,7 +363,6 @@ criterion_group!(
     serve_run_batch_sizes,
     serve_inner_batched_vs_unbatched,
     serve_specials_density,
-    serve_intra_widths,
     fill_batched_vs_unbatched,
     bma_recency_upkeep,
     telemetry_overhead,

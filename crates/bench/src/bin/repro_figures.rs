@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro_figures [--fast] [--scale F] [--threads N] [--shard I/M]
-//!               [--intra-threads N] [--pr N] [--ledger-file PATH]
+//!               [--pr N] [--ledger-file PATH]
 //!               [--out DIR] [--json DIR] [--merge-json DIR]
 //!               [--telemetry DIR] [--journal FILE] [--resume] <target>...
 //! repro_figures --telemetry-diff A.json B.json
@@ -34,14 +34,6 @@
 //! --threads N   work-stealing worker count for job grids (0 = auto, one per
 //!               core — the default). Timing-sensitive serve loops (panel b,
 //!               scaling/sweep rows) stay sequential regardless.
-//! --intra-threads N  intra-run worker count: each simulation that serves
-//!               an intra-sharded column (R-BMA's Phase-A charging, BMA's
-//!               bucketed scan in the scaling target, plus the live
-//!               report-equality assertion) shards its own scan this wide
-//!               (0 = auto, one per core; default 2). Per-simulation width
-//!               — composes with --threads, which fans out across
-//!               simulations, so S workers at width W can occupy S × W
-//!               cores. Reports are byte-identical at any value.
 //! --pr N        PR number to record ledger measurements under (ledger only)
 //! --ledger-file PATH  ledger location (default BENCH_LEDGER.json)
 //! --shard I/M   compute only this shard's slice of a table target's rows
@@ -154,18 +146,6 @@ fn main() {
         },
         None => 0,
     };
-    // Intra-run workers for the scaling target (0 = auto; default 2 so the
-    // sharded column and its equality assertion are live even unasked).
-    let intra_threads: usize = match value_of("--intra-threads") {
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("--intra-threads expects a non-negative integer (0 = auto), got {v:?}");
-                std::process::exit(2);
-            }
-        },
-        None => 2,
-    };
     let pr: Option<u64> = value_of("--pr").map(|v| match v.parse::<u64>() {
         Ok(n) => n,
         Err(_) => {
@@ -238,7 +218,6 @@ fn main() {
             "--threads",
             "--shard",
             "--merge-json",
-            "--intra-threads",
             "--pr",
             "--ledger-file",
             "--telemetry",
@@ -493,8 +472,7 @@ fn main() {
                     .iter()
                     .map(|&l| ((l as f64 * scale_factor).round() as usize).max(1))
                     .collect();
-                let (table, specials_share) =
-                    scaling_sweep(&lens, threads, shard_spec, intra_threads);
+                let (table, specials_share) = scaling_sweep(&lens, threads, shard_spec);
                 print_table(
                     "scaling",
                     table,

@@ -439,11 +439,12 @@ pub fn worst_case_panel() -> SimpleTable {
 /// serve modes: batched (the production default,
 /// [`dcn_core::simulator::DEFAULT_BATCH_SIZE`]) and unbatched
 /// (`batch_size = 1`, the historical per-request loop) — the ratio column
-/// is the measured win of the batched pipeline. Costs are asserted
-/// identical across modes on every row (the batching equivalence contract,
-/// live in production output, not only in tests).
+/// is the measured win of the batched pipeline. For R-BMA, BMA and
+/// Oblivious the full seeded `RunReport`s are asserted identical across
+/// modes on every row (the batching equivalence contract, live in
+/// production output, not only in tests).
 ///
-/// Two further live contracts per row:
+/// One further live contract per row:
 ///
 /// * **BMA recency oracle.** The flat-intrusive-LRU BMA is replayed against
 ///   [`dcn_core::algorithms::bma::BmaBTree`] (the historical `BTreeMap`
@@ -451,7 +452,6 @@ pub fn worst_case_panel() -> SimpleTable {
 ///   reconfiguration count, every checkpoint — are asserted identical; the
 ///   reference's throughput and the flat/btree speedup are reported as
 ///   columns, so the flattening win ships in the artifact.
-/// * Batched ≡ unbatched costs, as before.
 ///
 /// Simulation runs stay strictly sequential (the table reports wall-clock
 /// throughput, and timing runs must not share cores — same rule as the
@@ -459,16 +459,8 @@ pub fn worst_case_panel() -> SimpleTable {
 /// setup step (the APSP distance build). `shard` selects which rows (by
 /// original index, so seeds are unchanged) this invocation computes.
 ///
-/// PR 7 additions, both live in the artifact:
+/// Further additions, live in the artifact:
 ///
-/// * **Four-path equivalence.** Every length row runs R-BMA through all
-///   four serve paths — bucketed/sorted (the new default), unsorted
-///   batched (the PR 5 fused loop), per-request (`batch_size = 1`), and
-///   intra-sharded (`intra_threads` workers over one run) — and asserts
-///   the full seeded `RunReport`s identical across all of them; BMA and
-///   Oblivious are cross-checked sorted-vs-per-request the same way. The
-///   unsorted and intra-sharded R-BMA throughputs become columns, so the
-///   bucketing win and the sharding behaviour ship with every run.
 /// * **Worst-case panel.** Every committed adversarial corpus entry
 ///   (`crates/adversary/corpus/*.json`) appends a standing row: the entry
 ///   is first replayed to its pinned costs ([`CorpusEntry::verify`] as
@@ -476,14 +468,6 @@ pub fn worst_case_panel() -> SimpleTable {
 ///   entry's own topology and (b, α) — the discovered nemesis traces
 ///   exercise the serve paths in the live table, not only in tests.
 ///   Corpus rows shard by continued index (`lens.len() + i`).
-///
-/// PR 9 additions:
-///
-/// * **BMA joins the sharded world.** Every row also runs BMA through
-///   its intra-sharded bucketed pass (`intra_threads` workers over the
-///   preprocessing scan) and asserts the full report identical to the
-///   fused loop — `--intra-threads` is no longer an R-BMA-only flag;
-///   the BMA intra throughput is a column.
 /// * **Measured specials share.** The runs meter into a local
 ///   telemetry sink (merged into the process-global one afterwards, so
 ///   `--telemetry` artifacts stay whole); the second return value is
@@ -497,14 +481,11 @@ pub fn scaling_sweep(
     lens: &[usize],
     threads: usize,
     shard: ShardSpec,
-    intra_threads: usize,
 ) -> (SimpleTable, Option<f64>) {
-    use dcn_core::ServeMode;
     let racks = 100;
     let b = 12;
     let alpha = 10u64;
     let exponent = 1.2;
-    let intra = dcn_core::parallel::resolve_intra(intra_threads);
     let net = builders::fat_tree_with_racks(racks);
     let dm = Arc::new(DistanceMatrix::between_racks_parallel(
         &net,
@@ -515,21 +496,18 @@ pub fn scaling_sweep(
     // into the process-global sink at the end (a no-op when none is
     // installed), keeping `--telemetry` artifacts whole.
     let specials_sink = dcn_telemetry::Telemetry::enabled();
-    let run_streamed =
-        |spec: &TraceSpec, algorithm: &AlgorithmKind, batch_size: usize, mode, intra_w| {
-            let mut source = spec.source();
-            let mut config = dcn_core::SimConfig {
-                seed: 7,
-                trace_name: spec.name(),
-                ..Default::default()
-            }
-            .with_batch_size(batch_size)
-            .with_serve_mode(mode)
-            .with_intra_threads(intra_w);
-            config.telemetry = specials_sink.clone();
-            let mut scheduler = algorithm.build_online(Arc::clone(&dm), b, alpha, 7);
-            dcn_core::run(scheduler.as_mut(), &dm, alpha, source.as_mut(), &config)
-        };
+    let run_streamed = |spec: &TraceSpec, algorithm: &AlgorithmKind, batch_size: usize| {
+        let mut source = spec.source();
+        let config = dcn_core::SimConfig {
+            seed: 7,
+            trace_name: spec.name(),
+            ..Default::default()
+        }
+        .with_batch_size(batch_size)
+        .with_telemetry(specials_sink.clone());
+        let mut scheduler = algorithm.build_online(Arc::clone(&dm), b, alpha, 7);
+        dcn_core::run(scheduler.as_mut(), &dm, alpha, source.as_mut(), &config)
+    };
     let throughput = |r: &dcn_core::RunReport| {
         if r.total.elapsed_secs > 0.0 {
             r.total.requests as f64 / r.total.elapsed_secs / 1e6
@@ -553,7 +531,7 @@ pub fn scaling_sweep(
     let batched = dcn_core::simulator::DEFAULT_BATCH_SIZE;
     let mut rows = Vec::new();
     // Denominator of the footer's specials share: every R-BMA run's
-    // requests (all four serve paths bump `rbma.specials` identically).
+    // requests (batched and per-request bump `rbma.specials` identically).
     let mut rbma_requests = 0u64;
     for (i, &len) in lens.iter().enumerate() {
         if !shard.owns(i) {
@@ -566,58 +544,30 @@ pub fn scaling_sweep(
             seed: derive_seed(0x5CA1E, i as u64),
         };
         let rbma_kind = AlgorithmKind::Rbma { lazy: true };
-        let rbma = run_streamed(&spec, &rbma_kind, batched, ServeMode::Sorted, 1);
-        let bma = run_streamed(&spec, &AlgorithmKind::Bma, batched, ServeMode::Sorted, 1);
-        let oblivious = run_streamed(
-            &spec,
-            &AlgorithmKind::Oblivious,
-            batched,
-            ServeMode::Sorted,
-            1,
-        );
-        let rbma_unsorted = run_streamed(&spec, &rbma_kind, batched, ServeMode::Unsorted, 1);
-        let rbma_unbatched = run_streamed(&spec, &rbma_kind, 1, ServeMode::Unsorted, 1);
-        let rbma_sharded = run_streamed(&spec, &rbma_kind, batched, ServeMode::Sorted, intra);
-        let bma_sharded = run_streamed(
-            &spec,
-            &AlgorithmKind::Bma,
-            batched,
-            ServeMode::Sorted,
-            intra,
-        );
-        rbma_requests += rbma.total.requests * 4;
+        let rbma = run_streamed(&spec, &rbma_kind, batched);
+        let bma = run_streamed(&spec, &AlgorithmKind::Bma, batched);
+        let oblivious = run_streamed(&spec, &AlgorithmKind::Oblivious, batched);
+        let rbma_unbatched = run_streamed(&spec, &rbma_kind, 1);
+        rbma_requests += rbma.total.requests * 2;
         // Flat-LRU BMA vs the BTreeMap reference: every seeded report field
         // must match, live in the production target, not only in tests.
         let bma_btree = run_reference_bma(&spec, batched);
         assert_reports_equal(&bma, &bma_btree, "BMA flat-LRU vs BTreeMap recency");
-        // The four-path contract, live: sorted ≡ unsorted ≡ per-request ≡
-        // intra-sharded, on every seeded report field.
-        assert_reports_equal(&rbma, &rbma_unsorted, "R-BMA sorted vs unsorted batched");
-        assert_reports_equal(&rbma, &rbma_unbatched, "R-BMA sorted vs per-request");
-        assert_reports_equal(
-            &rbma,
-            &rbma_sharded,
-            &format!("R-BMA sorted vs intra-sharded ({intra} workers)"),
-        );
-        assert_reports_equal(
-            &bma,
-            &bma_sharded,
-            &format!("BMA fused vs intra-sharded bucketed ({intra} workers)"),
-        );
+        // Batched ≡ per-request, live, on every seeded report field.
+        assert_reports_equal(&rbma, &rbma_unbatched, "R-BMA batched vs per-request");
         for (batched_report, algorithm) in [
             (&bma, AlgorithmKind::Bma),
             (&oblivious, AlgorithmKind::Oblivious),
         ] {
-            let unbatched = run_streamed(&spec, &algorithm, 1, ServeMode::Unsorted, 1);
+            let unbatched = run_streamed(&spec, &algorithm, 1);
             assert_reports_equal(
                 batched_report,
                 &unbatched,
-                &format!("{}: sorted batched vs per-request", algorithm.label()),
+                &format!("{}: batched vs per-request", algorithm.label()),
             );
         }
         let fast = throughput(&rbma);
         let slow = throughput(&rbma_unbatched);
-        let unsorted_tp = throughput(&rbma_unsorted);
         let bma_fast = throughput(&bma);
         let bma_btree_tp = throughput(&bma_btree);
         rows.push((
@@ -632,10 +582,6 @@ pub fn scaling_sweep(
                 bma_fast / bma_btree_tp,
                 slow,
                 fast / slow,
-                unsorted_tp,
-                fast / unsorted_tp,
-                throughput(&rbma_sharded),
-                throughput(&bma_sharded),
             ],
         ));
     }
@@ -650,16 +596,14 @@ pub fn scaling_sweep(
             .unwrap_or_else(|report| panic!("worst-case panel gate: {report}"));
         let trace = entry.genome.as_trace();
         let adm = dcn_adversary::search::search_topology(entry.num_racks);
-        let run_adv = |algorithm: &AlgorithmKind, batch_size: usize, mode, intra_w| {
-            let mut config = dcn_core::SimConfig {
+        let run_adv = |algorithm: &AlgorithmKind, batch_size: usize| {
+            let config = dcn_core::SimConfig {
                 seed: entry.algo_seed,
                 trace_name: trace.name.clone(),
                 ..Default::default()
             }
             .with_batch_size(batch_size)
-            .with_serve_mode(mode)
-            .with_intra_threads(intra_w);
-            config.telemetry = specials_sink.clone();
+            .with_telemetry(specials_sink.clone());
             let mut scheduler =
                 algorithm.build_online(Arc::clone(&adm), entry.b, entry.alpha, entry.algo_seed);
             dcn_core::run(
@@ -671,14 +615,11 @@ pub fn scaling_sweep(
             )
         };
         let rbma_kind = AlgorithmKind::Rbma { lazy: true };
-        let rbma = run_adv(&rbma_kind, batched, ServeMode::Sorted, 1);
-        let bma = run_adv(&AlgorithmKind::Bma, batched, ServeMode::Sorted, 1);
-        let oblivious = run_adv(&AlgorithmKind::Oblivious, batched, ServeMode::Sorted, 1);
-        let rbma_unsorted = run_adv(&rbma_kind, batched, ServeMode::Unsorted, 1);
-        let rbma_unbatched = run_adv(&rbma_kind, 1, ServeMode::Unsorted, 1);
-        let rbma_sharded = run_adv(&rbma_kind, batched, ServeMode::Sorted, intra);
-        let bma_sharded = run_adv(&AlgorithmKind::Bma, batched, ServeMode::Sorted, intra);
-        rbma_requests += rbma.total.requests * 4;
+        let rbma = run_adv(&rbma_kind, batched);
+        let bma = run_adv(&AlgorithmKind::Bma, batched);
+        let oblivious = run_adv(&AlgorithmKind::Oblivious, batched);
+        let rbma_unbatched = run_adv(&rbma_kind, 1);
+        rbma_requests += rbma.total.requests * 2;
         let bma_btree = {
             let config = dcn_core::SimConfig {
                 seed: entry.algo_seed,
@@ -691,14 +632,10 @@ pub fn scaling_sweep(
             dcn_core::run(&mut scheduler, &adm, entry.alpha, &trace.requests, &config)
         };
         let ctx = format!("worst-case {name}");
-        assert_reports_equal(&rbma, &rbma_unsorted, &ctx);
         assert_reports_equal(&rbma, &rbma_unbatched, &ctx);
-        assert_reports_equal(&rbma, &rbma_sharded, &ctx);
-        assert_reports_equal(&bma, &bma_sharded, &ctx);
         assert_reports_equal(&bma, &bma_btree, &ctx);
         let fast = throughput(&rbma);
         let slow = throughput(&rbma_unbatched);
-        let unsorted_tp = throughput(&rbma_unsorted);
         let bma_fast = throughput(&bma);
         let bma_btree_tp = throughput(&bma_btree);
         rows.push((
@@ -713,10 +650,6 @@ pub fn scaling_sweep(
                 bma_fast / bma_btree_tp,
                 slow,
                 fast / slow,
-                unsorted_tp,
-                fast / unsorted_tp,
-                throughput(&rbma_sharded),
-                throughput(&bma_sharded),
             ],
         ));
     }
@@ -730,7 +663,7 @@ pub fn scaling_sweep(
     let table = SimpleTable {
         title: format!(
             "Scaling: streamed Zipf(s={exponent}) workloads, {racks} racks, b={b}, α={alpha} \
-             (O(1) trace memory; serve batch={batched} vs 1; intra={intra}) \
+             (O(1) trace memory; serve batch={batched} vs 1) \
              + adversarial worst-case panel"
         ),
         columns: vec![
@@ -743,10 +676,6 @@ pub fn scaling_sweep(
             "BMA recency speedup".into(),
             "R-BMA Mreq/s (batch=1)".into(),
             "batch speedup".into(),
-            "R-BMA Mreq/s (unsorted)".into(),
-            "sorted speedup".into(),
-            format!("R-BMA Mreq/s (intra={intra})"),
-            format!("BMA Mreq/s (intra={intra})"),
         ],
         rows,
         statuses: Vec::new(),
@@ -1059,9 +988,9 @@ mod tests {
     fn scaling_sweep_runs_streamed() {
         let corpus = dcn_adversary::committed_entries().len();
         assert!(corpus >= 3, "committed corpus should seed the panel");
-        let (t, specials_share) = scaling_sweep(&[2_000, 4_000], 1, ShardSpec::full(), 2);
+        let (t, specials_share) = scaling_sweep(&[2_000, 4_000], 1, ShardSpec::full());
         assert_eq!(t.rows.len(), 2 + corpus);
-        assert_eq!(t.columns.len(), 13);
+        assert_eq!(t.columns.len(), 9);
         // The footer share is a real measurement when telemetry is
         // compiled in (the standard point sits near 30% specials; the
         // corpus rows pull the mix around, so just bound it).
@@ -1076,17 +1005,12 @@ mod tests {
             // Online totals are bounded by the oblivious upper envelope plus
             // reconfiguration spend; all must be positive.
             assert!(v[0] > 0.0 && v[1] > 0.0 && v[2] > 0.0, "{label}: {v:?}");
-            // Sorted/unsorted/per-request/sharded and flat/btree throughputs
-            // and their ratios are real measurements (full report equality is
-            // asserted across all four serve paths inside the sweep).
+            // Batched/per-request and flat/btree throughputs and their
+            // ratios are real measurements (full report equality is
+            // asserted between the paths inside the sweep).
             assert!(v[3] > 0.0 && v[5] > 0.0 && v[7] > 0.0, "{label}: {v:?}");
             assert!(v[6].is_finite() && v[6] > 0.0, "{label}: {v:?}");
             assert!(v[8].is_finite() && v[8] > 0.0, "{label}: {v:?}");
-            assert!(v[9] > 0.0 && v[11] > 0.0, "{label}: {v:?}");
-            assert!(v[10].is_finite() && v[10] > 0.0, "{label}: {v:?}");
-            // The BMA intra column is a real measurement too (full report
-            // equality vs the fused loop is asserted inside the sweep).
-            assert!(v[12] > 0.0, "{label}: {v:?}");
         }
         // Twice the requests ⇒ roughly twice the oblivious routing cost.
         let ratio = t.rows[1].1[2] / t.rows[0].1[2];
@@ -1120,9 +1044,9 @@ mod tests {
         // per-row seeds: the union of the cost columns equals the unsharded
         // run's (timing columns are wall-clock and excluded).
         let lens = [1_500usize, 2_500, 3_500];
-        let full = scaling_sweep(&lens, 1, ShardSpec::full(), 2).0;
-        let a = scaling_sweep(&lens, 1, ShardSpec::new(0, 2), 2).0;
-        let b = scaling_sweep(&lens, 1, ShardSpec::new(1, 2), 2).0;
+        let full = scaling_sweep(&lens, 1, ShardSpec::full()).0;
+        let a = scaling_sweep(&lens, 1, ShardSpec::new(0, 2)).0;
+        let b = scaling_sweep(&lens, 1, ShardSpec::new(1, 2)).0;
         let total = full.rows.len();
         assert_eq!(a.rows.len(), total.div_ceil(2));
         assert_eq!(b.rows.len(), total / 2);

@@ -30,40 +30,12 @@
 //! historical B-tree structure as the equivalence oracle — same victims,
 //! same reports, pinned by tests and asserted live by the `scaling` target.
 
-use crate::batch::PairBuckets;
-use crate::parallel::IntraPool;
 use crate::scheduler::{BatchOutcome, OnlineScheduler, ServeOutcome};
 use dcn_matching::{BMatching, BTreeRecencyMatching, LruBMatching, RecencyMatching};
 use dcn_telemetry::{Counter, Telemetry};
 use dcn_topology::{DistanceMatrix, NodeId, Pair};
 use dcn_util::FxHashMap;
 use std::sync::Arc;
-
-/// Sentinel for "no deferred LRU touch pending" in [`BmaPairState`].
-const NO_TOUCH: u32 = u32::MAX;
-
-/// Per-distinct-pair slab entry of the bucketed serve pass.
-///
-/// The interesting field is `last_touch`: instead of splicing the recency
-/// lists on every hit, the bucketed pass only *stamps* the hit's request
-/// index here and defers the splice. Deferred touches are flushed — one
-/// splice per pair per flush interval, in last-occurrence order — right
-/// before every buy (the only point that reads recency) and at chunk end,
-/// so a run of k hits costs one splice instead of k while the LRU state is
-/// exact wherever it is observed.
-#[derive(Clone, Copy, Debug)]
-struct BmaPairState {
-    /// Whether the pair is currently a matching edge.
-    matched: bool,
-    /// Routing cost of the next request (1 or the simulator dm's `ℓ_e`).
-    cost: u32,
-    /// Rent accrued per miss (the scheduler's own `ℓ_e`).
-    rent: u32,
-    /// Rent-or-buy counter, advanced in the slab, written back per chunk.
-    counter: u64,
-    /// Request index of the newest unflushed hit, or [`NO_TOUCH`].
-    last_touch: u32,
-}
 
 /// Deterministic rent-or-buy online b-matching over a pluggable recency
 /// index. Use [`Bma`] (flat intrusive LRU) in production; [`BmaBTree`] is
@@ -75,8 +47,6 @@ pub struct BmaWith<M: RecencyMatching> {
     counters: FxHashMap<Pair, u64>,
     /// Matching + per-endpoint recency (LRU victim selection).
     index: M,
-    /// Reusable chunk-bucketing scratch for the batched serve path.
-    buckets: PairBuckets<BmaPairState>,
     /// Local event recorders, drained by `telemetry_flush` (hits are bulk
     /// adds at loop ends; only buy/evict/splice events pay a per-event
     /// bump — all of them off the per-request fast path).
@@ -88,15 +58,12 @@ pub struct BmaWith<M: RecencyMatching> {
 struct BmaStats {
     /// Requests that arrived on a matching edge.
     hits: Counter,
-    /// LRU list-splice operations (immediate touches on the unsorted
-    /// path, deferred flushes on the bucketed one — the §3.2 upkeep).
+    /// LRU list-splice operations, one per hit (the §3.2 upkeep).
     splices: Counter,
     /// Rent-or-buy threshold crossings (edge insertions).
     buys: Counter,
     /// Deterministic LRU evictions.
     evictions: Counter,
-    /// Chunks whose bucketing scan ran sharded across an `IntraPool`.
-    sharded_chunks: Counter,
 }
 
 /// BMA over the flat intrusive LRU — the production instantiation.
@@ -118,7 +85,6 @@ impl<M: RecencyMatching> BmaWith<M> {
             alpha,
             counters: FxHashMap::default(),
             index: M::new(n, b),
-            buckets: PairBuckets::default(),
             stats: BmaStats::default(),
         }
     }
@@ -148,7 +114,7 @@ impl<M: RecencyMatching> BmaWith<M> {
     }
 
     /// Evicts the least-recently-used matching edge at `node`.
-    fn evict_lru_at(&mut self, node: NodeId) -> Pair {
+    fn evict_lru_at(&mut self, node: NodeId) {
         let victim = self
             .index
             .lru_edge(node)
@@ -156,165 +122,6 @@ impl<M: RecencyMatching> BmaWith<M> {
         self.index.remove(victim);
         self.counters.remove(&victim);
         self.stats.evictions.bump();
-        victim
-    }
-
-    /// Applies deferred LRU touches for requests `range` of `batch`, in
-    /// request order, splicing each pair once at its newest stamped hit.
-    ///
-    /// Correct because between flush points nothing reads recency (reads
-    /// happen only at buys, immediately *after* a flush) and nothing is
-    /// inserted or evicted — so replaying only the *last* touch of each
-    /// pair, in position order, leaves the lists in exactly the state
-    /// per-request touching would have.
-    fn flush_touches(
-        index: &mut M,
-        buckets: &PairBuckets<BmaPairState>,
-        slab: &mut [BmaPairState],
-        batch: &[Pair],
-        range: std::ops::Range<usize>,
-        splices: &mut Counter,
-    ) {
-        for j in range {
-            let id = buckets.id_at(j);
-            if slab[id].last_touch == j as u32 {
-                slab[id].last_touch = NO_TOUCH;
-                let hit = index.touch_hit(batch[j]);
-                debug_assert!(hit, "deferred touch on an unmatched pair");
-                splices.bump();
-            }
-        }
-    }
-
-    /// The bucketed batch pass: per-distinct-pair reads amortized through
-    /// [`PairBuckets`], per-hit recency upkeep deferred to flush points
-    /// (see [`BmaPairState`]); byte-identical accounting to the unsorted
-    /// fused loop.
-    fn serve_batch_bucketed(
-        &mut self,
-        batch: &[Pair],
-        dm: &DistanceMatrix,
-        acc: &mut BatchOutcome,
-        pool: Option<&IntraPool>,
-    ) {
-        let n = self.dm.num_racks();
-        let mut buckets = std::mem::take(&mut self.buckets);
-        let ok = {
-            let index = &self.index;
-            let own_dm = &self.dm;
-            let counters = &self.counters;
-            buckets.bucket(
-                batch,
-                n,
-                |pair| {
-                    if index.matching().contains(pair) {
-                        BmaPairState {
-                            matched: true,
-                            cost: 1,
-                            rent: 0,
-                            counter: 0,
-                            last_touch: NO_TOUCH,
-                        }
-                    } else {
-                        BmaPairState {
-                            matched: false,
-                            cost: dm.ell(pair) as u32,
-                            rent: own_dm.ell(pair) as u32,
-                            counter: counters.get(&pair).copied().unwrap_or(0),
-                            last_touch: NO_TOUCH,
-                        }
-                    }
-                },
-                pool,
-            )
-        };
-        if !ok {
-            self.buckets = buckets;
-            return self.serve_batch_unsorted(batch, dm, acc);
-        }
-        let mut slab = buckets.take_slab();
-        let cap = self.index.matching().cap();
-        let mut matched_total = 0u64;
-        let mut routing = 0u64;
-        let mut flushed = 0usize;
-        for (i, &pair) in batch.iter().enumerate() {
-            let id = buckets.id_at(i);
-            let s = &mut slab[id];
-            if s.matched {
-                matched_total += 1;
-                routing += 1;
-                s.last_touch = i as u32;
-                continue;
-            }
-            routing += s.cost as u64;
-            s.counter += s.rent as u64;
-            if s.counter < self.alpha {
-                continue;
-            }
-            // Buy: the only point that reads recency — settle it first.
-            Self::flush_touches(
-                &mut self.index,
-                &buckets,
-                &mut slab,
-                batch,
-                flushed..i,
-                &mut self.stats.splices,
-            );
-            flushed = i;
-            self.counters.remove(&pair);
-            self.stats.buys.bump();
-            let mut removed = 0u32;
-            for node in [pair.lo(), pair.hi()] {
-                if self.index.matching().degree(node) >= cap {
-                    let victim = self.evict_lru_at(node);
-                    removed += 1;
-                    if let Some(vid) = buckets.id_of(victim) {
-                        slab[vid] = BmaPairState {
-                            matched: false,
-                            cost: dm.ell(victim) as u32,
-                            rent: self.dm.ell(victim) as u32,
-                            counter: 0,
-                            last_touch: NO_TOUCH,
-                        };
-                    }
-                }
-            }
-            self.index.insert_mru(pair);
-            acc.added += 1;
-            acc.removed += removed as u64;
-            let s = &mut slab[id];
-            s.matched = true;
-            s.cost = 1;
-            s.counter = 0;
-            s.last_touch = NO_TOUCH;
-        }
-        Self::flush_touches(
-            &mut self.index,
-            &buckets,
-            &mut slab,
-            batch,
-            flushed..batch.len(),
-            &mut self.stats.splices,
-        );
-        self.stats.hits.add(matched_total);
-        acc.matched += matched_total;
-        acc.routing_cost += routing;
-        // Write the advanced rent counters back, once per distinct pair.
-        // Matched pairs never carry counter entries (buy and evict both
-        // clear them), so only unmatched slab entries are reconciled.
-        for (idx, &pair) in buckets.distinct().iter().enumerate() {
-            let s = &slab[idx];
-            if s.matched {
-                continue;
-            }
-            if s.counter > 0 {
-                self.counters.insert(pair, s.counter);
-            } else {
-                self.counters.remove(&pair);
-            }
-        }
-        buckets.restore_slab(slab);
-        self.buckets = buckets;
     }
 }
 
@@ -350,18 +157,13 @@ impl<M: RecencyMatching> OnlineScheduler for BmaWith<M> {
         }
     }
 
-    /// Unsorted batched serve (the PR 5 fused loop): hits stay on the
-    /// immediate recency-upkeep path — two O(1) splices per hit — while
-    /// batching shrinks the dispatch/accounting overhead around it.
-    /// Routing is charged from the simulator's `dm`, renting from the
-    /// scheduler's own (the same matrix in every sweep, so the second read
-    /// hits the just-warmed line).
-    fn serve_batch_unsorted(
-        &mut self,
-        batch: &[Pair],
-        dm: &DistanceMatrix,
-        acc: &mut BatchOutcome,
-    ) {
+    /// Batched serve, one fused loop: hits stay on the immediate
+    /// recency-upkeep path — two O(1) splices per hit — while batching
+    /// shrinks the dispatch/accounting overhead around it. Routing is
+    /// charged from the simulator's `dm`, renting from the scheduler's own
+    /// (the same matrix in every sweep, so the second read hits the
+    /// just-warmed line).
+    fn serve_batch(&mut self, batch: &[Pair], dm: &DistanceMatrix, acc: &mut BatchOutcome) {
         let mut matched = 0u64;
         let mut routing = 0u64;
         for &pair in batch {
@@ -382,35 +184,6 @@ impl<M: RecencyMatching> OnlineScheduler for BmaWith<M> {
         acc.routing_cost += routing;
     }
 
-    /// Bucketed batched serve: per-pair reads amortized, per-hit LRU
-    /// splices deferred to flush points (a run of k hits is one splice);
-    /// byte-identical to the unsorted path.
-    /// Default batched serve: the fused loop. BMA's hit path is already a
-    /// single fused membership-probe-plus-splice, so the bucketed pass's
-    /// extra scan and flush passes cost more than the deferred splices
-    /// save; the bucketed engine pays for itself only when the scan is
-    /// sharded across an [`IntraPool`] ([`Self::serve_batch_sharded`]),
-    /// which stays byte-identical to this loop (asserted live by the
-    /// scaling target and the lockstep recency test).
-    fn serve_batch(&mut self, batch: &[Pair], dm: &DistanceMatrix, acc: &mut BatchOutcome) {
-        self.serve_batch_unsorted(batch, dm, acc);
-    }
-
-    /// Bucketed batched serve with the preprocessing scan sharded by
-    /// rack-pair ownership across `pool`; byte-identical at any width.
-    fn serve_batch_sharded(
-        &mut self,
-        batch: &[Pair],
-        dm: &DistanceMatrix,
-        pool: &IntraPool,
-        acc: &mut BatchOutcome,
-    ) {
-        if pool.width() > 1 {
-            self.stats.sharded_chunks.bump();
-        }
-        self.serve_batch_bucketed(batch, dm, acc, Some(pool));
-    }
-
     fn matching(&self) -> &BMatching {
         self.index.matching()
     }
@@ -420,7 +193,6 @@ impl<M: RecencyMatching> OnlineScheduler for BmaWith<M> {
         sink.add_counter("bma.lru_splices", self.stats.splices.take());
         sink.add_counter("bma.buys", self.stats.buys.take());
         sink.add_counter("bma.evictions", self.stats.evictions.take());
-        sink.add_counter("bma.sharded_chunks", self.stats.sharded_chunks.take());
     }
 }
 
@@ -582,60 +354,6 @@ mod tests {
                 assert_eq!(x.reconfig_cost, y.reconfig_cost);
                 assert_eq!(x.matched_requests, y.matched_requests);
             }
-        }
-    }
-
-    #[test]
-    fn run_aware_lru_upkeep_matches_btree_per_request() {
-        // The deferred-touch (run-aware) bucketed path must leave the LRU in
-        // exactly the state per-request serving leaves it: drive the flat
-        // index through `serve_batch_bucketed` (touches flushed at buy
-        // points and chunk ends) against a BmaBTree served request by
-        // request, and require identical outcomes AND identical recency
-        // orders on every rack after every chunk — duplicate runs included.
-        use crate::scheduler::BatchOutcome;
-        let n = 10usize;
-        let dm = uniform(n);
-        // Duplicate-heavy stream: hot pairs repeat in runs so a single
-        // flush stands in for many touches.
-        let mut requests = Vec::new();
-        let mut x = 0x9E3779B97F4A7C15u64;
-        while requests.len() < 5_000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let a = (x % n as u64) as u32;
-            let b = ((x >> 16) % n as u64) as u32;
-            if a == b {
-                continue;
-            }
-            let p = Pair::new(a, b);
-            for _ in 0..=(x >> 32) % 6 {
-                requests.push(p);
-            }
-        }
-        for chunk_len in [1usize, 3, 64, 997] {
-            let mut flat = Bma::new(dm.clone(), 2, 4);
-            let mut tree = BmaBTree::new(dm.clone(), 2, 4);
-            let mut flat_acc = BatchOutcome::default();
-            let mut tree_acc = BatchOutcome::default();
-            for (ci, chunk) in requests.chunks(chunk_len).enumerate() {
-                flat.serve_batch_bucketed(chunk, &dm, &mut flat_acc, None);
-                for &r in chunk {
-                    let o = tree.serve(r);
-                    tree_acc.record(r, o, &dm);
-                }
-                assert_eq!(flat_acc, tree_acc, "accounting diverged at chunk {ci}");
-                for v in 0..n as NodeId {
-                    assert_eq!(
-                        flat.index.recency_order(v),
-                        tree.index.recency_order(v),
-                        "recency order diverged after chunk {ci} (len {chunk_len}), rack {v}"
-                    );
-                }
-            }
-            flat.index.assert_valid();
-            assert_eq!(flat.matching().len(), tree.matching().len());
         }
     }
 

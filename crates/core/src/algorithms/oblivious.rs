@@ -2,27 +2,14 @@
 //! request rides the fixed network at cost `ℓ_e` — the violet reference
 //! line in Figs. 1a–4a.
 
-use crate::batch::PairBuckets;
-use crate::parallel::IntraPool;
 use crate::scheduler::{BatchOutcome, OnlineScheduler, ServeOutcome};
 use dcn_matching::BMatching;
 use dcn_topology::{DistanceMatrix, Pair};
 
 /// Scheduler that never configures a matching edge.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Oblivious {
     matching: BMatching,
-    /// Reusable chunk-bucketing scratch (per-pair state: `ℓ_e`).
-    buckets: PairBuckets<u32>,
-}
-
-impl Clone for Oblivious {
-    fn clone(&self) -> Self {
-        Self {
-            matching: self.matching.clone(),
-            buckets: PairBuckets::default(),
-        }
-    }
 }
 
 impl Oblivious {
@@ -30,35 +17,7 @@ impl Oblivious {
     pub fn new(n: usize, b: usize) -> Self {
         Self {
             matching: BMatching::new(n, b.max(1)),
-            buckets: PairBuckets::default(),
         }
-    }
-
-    /// The bucketed batch pass: one `ℓ_e` lookup and one
-    /// multiply-accumulate per **distinct** pair (u64 products summed in
-    /// slab order — integer addition is associative, so the total equals
-    /// the per-request sum exactly).
-    fn serve_batch_bucketed(
-        &mut self,
-        batch: &[Pair],
-        dm: &DistanceMatrix,
-        acc: &mut BatchOutcome,
-        pool: Option<&IntraPool>,
-    ) {
-        let n = self.matching.num_racks();
-        let mut buckets = std::mem::take(&mut self.buckets);
-        if !buckets.bucket(batch, n, |pair| dm.ell(pair) as u32, pool) {
-            self.buckets = buckets;
-            return self.serve_batch_unsorted(batch, dm, acc);
-        }
-        let mut routing = 0u64;
-        let slab = buckets.take_slab();
-        for (idx, &count) in buckets.counts().iter().enumerate() {
-            routing += count as u64 * slab[idx] as u64;
-        }
-        acc.routing_cost += routing;
-        buckets.restore_slab(slab);
-        self.buckets = buckets;
     }
 }
 
@@ -79,36 +38,15 @@ impl OnlineScheduler for Oblivious {
         }
     }
 
-    /// Unsorted batched serve: with no matching state at all, a batch is a
-    /// pure distance-lookup sum — the floor any batched scheduler loop is
+    /// Batched serve: with no matching state at all, a batch is a pure
+    /// distance-lookup sum — the floor any batched scheduler loop is
     /// measured against.
-    fn serve_batch_unsorted(
-        &mut self,
-        batch: &[Pair],
-        dm: &DistanceMatrix,
-        acc: &mut BatchOutcome,
-    ) {
+    fn serve_batch(&mut self, batch: &[Pair], dm: &DistanceMatrix, acc: &mut BatchOutcome) {
         let mut routing = 0u64;
         for &pair in batch {
             routing += dm.ell(pair) as u64;
         }
         acc.routing_cost += routing;
-    }
-
-    /// Bucketed batched serve: one multiply-accumulate per distinct pair.
-    fn serve_batch(&mut self, batch: &[Pair], dm: &DistanceMatrix, acc: &mut BatchOutcome) {
-        self.serve_batch_bucketed(batch, dm, acc, None);
-    }
-
-    /// Bucketed batched serve with the scan sharded across `pool`.
-    fn serve_batch_sharded(
-        &mut self,
-        batch: &[Pair],
-        dm: &DistanceMatrix,
-        pool: &IntraPool,
-        acc: &mut BatchOutcome,
-    ) {
-        self.serve_batch_bucketed(batch, dm, acc, Some(pool));
     }
 
     fn matching(&self) -> &BMatching {

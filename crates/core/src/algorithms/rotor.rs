@@ -9,8 +9,6 @@
 //! is currently active. Rotation is free (it happens on a fixed schedule,
 //! demand plays no role — the usual rotor-network accounting).
 
-use crate::batch::PairBuckets;
-use crate::parallel::IntraPool;
 use crate::scheduler::{BatchOutcome, OnlineScheduler, ServeOutcome};
 use dcn_matching::BMatching;
 use dcn_topology::{DistanceMatrix, Pair};
@@ -30,8 +28,6 @@ pub struct Rotor {
     /// Exposed matching view (rebuilt lazily per rotation for inspection).
     matching: BMatching,
     matching_step: u64,
-    /// Reusable chunk-bucketing scratch (per-pair state: active?, `ℓ_e`).
-    buckets: PairBuckets<(bool, u32)>,
 }
 
 impl Rotor {
@@ -53,7 +49,6 @@ impl Rotor {
             active_step: u64::MAX,
             matching: BMatching::new(n, b),
             matching_step: u64::MAX,
-            buckets: PairBuckets::default(),
         };
         rotor.refresh_active();
         rotor.rebuild_matching();
@@ -134,54 +129,6 @@ impl Rotor {
             }
         }
     }
-
-    /// The bucketed single-window batch pass; see
-    /// [`OnlineScheduler::serve_batch`] on [`Rotor`].
-    fn serve_batch_bucketed(
-        &mut self,
-        batch: &[Pair],
-        dm: &DistanceMatrix,
-        acc: &mut BatchOutcome,
-        pool: Option<&IntraPool>,
-    ) {
-        let until_rotation = (self.period - self.clock % self.period) as usize;
-        if until_rotation < batch.len() {
-            return self.serve_batch_unsorted(batch, dm, acc);
-        }
-        let mut buckets = std::mem::take(&mut self.buckets);
-        let ok = {
-            let this = &*self;
-            buckets.bucket(
-                batch,
-                this.n,
-                |pair| (this.active[this.round_of(pair)], dm.ell(pair) as u32),
-                pool,
-            )
-        };
-        if !ok {
-            self.buckets = buckets;
-            return self.serve_batch_unsorted(batch, dm, acc);
-        }
-        let mut matched = 0u64;
-        let mut routing = 0u64;
-        let slab = buckets.take_slab();
-        for (idx, &count) in buckets.counts().iter().enumerate() {
-            let (active, ell) = slab[idx];
-            if active {
-                matched += count as u64;
-                routing += count as u64;
-            } else {
-                routing += count as u64 * ell as u64;
-            }
-        }
-        acc.matched += matched;
-        acc.routing_cost += routing;
-        self.clock += batch.len() as u64;
-        self.refresh_active();
-        self.rebuild_matching();
-        buckets.restore_slab(slab);
-        self.buckets = buckets;
-    }
 }
 
 impl OnlineScheduler for Rotor {
@@ -207,17 +154,12 @@ impl OnlineScheduler for Rotor {
         }
     }
 
-    /// Unsorted batched serve, segmented at rotation boundaries: within a
-    /// segment the active window is frozen, so the inner loop is `round_of`
-    /// plus one mask probe per request — the window scan, mask refresh and
+    /// Batched serve, segmented at rotation boundaries: within a segment
+    /// the active window is frozen, so the inner loop is `round_of` plus
+    /// one mask probe per request — the window scan, mask refresh and
     /// snapshot rebuild happen once per rotation step instead of once per
     /// request.
-    fn serve_batch_unsorted(
-        &mut self,
-        batch: &[Pair],
-        dm: &DistanceMatrix,
-        acc: &mut BatchOutcome,
-    ) {
+    fn serve_batch(&mut self, batch: &[Pair], dm: &DistanceMatrix, acc: &mut BatchOutcome) {
         let mut i = 0;
         while i < batch.len() {
             let until_rotation = (self.period - self.clock % self.period) as usize;
@@ -236,27 +178,6 @@ impl OnlineScheduler for Rotor {
             self.rebuild_matching();
             i += take;
         }
-    }
-
-    /// Bucketed batched serve: when the whole chunk falls inside one
-    /// rotation window (the common case — the simulator's chunks are far
-    /// shorter than realistic rotor periods), activity and `ℓ_e` are
-    /// evaluated once per **distinct** pair and the chunk reduces to one
-    /// multiply-accumulate per pair. Chunks that straddle a rotation fall
-    /// back to the segmented unsorted loop.
-    fn serve_batch(&mut self, batch: &[Pair], dm: &DistanceMatrix, acc: &mut BatchOutcome) {
-        self.serve_batch_bucketed(batch, dm, acc, None);
-    }
-
-    /// Bucketed batched serve with the scan sharded across `pool`.
-    fn serve_batch_sharded(
-        &mut self,
-        batch: &[Pair],
-        dm: &DistanceMatrix,
-        pool: &IntraPool,
-        acc: &mut BatchOutcome,
-    ) {
-        self.serve_batch_bucketed(batch, dm, acc, Some(pool));
     }
 
     fn matching(&self) -> &BMatching {

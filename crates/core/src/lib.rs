@@ -8,7 +8,8 @@
 //! reconfigurable b-matching `M`. Serving request `e` costs 1 if `e ∈ M`
 //! and `ℓ_e` otherwise; each matching-edge insertion or removal costs `α`.
 //!
-//! * [`scheduler`] — the [`OnlineScheduler`] contract and serve outcomes.
+//! * [`scheduler`] — the [`OnlineScheduler`] contract and serve outcomes:
+//!   `serve` per request plus one fused `serve_batch` loop per chunk.
 //! * [`algorithms`] — the algorithms of §2/§3:
 //!   [`algorithms::rbma::Rbma`] (the paper's randomized O(γ·log b)
 //!   algorithm), [`algorithms::bma::Bma`] (the deterministic Θ(b) baseline
@@ -19,17 +20,11 @@
 //!   routing-cost / reconfiguration-cost / wall-clock series (the x/y data
 //!   of Figs. 1–4). Consumes any [`simulator::RequestStream`]: an eager
 //!   slice or an O(1)-memory [`dcn_traces::RequestSource`] stream.
-//! * [`batch`] — serve-chunk preprocessing: counting-sort each chunk by
-//!   rack pair into a reusable slab ([`batch::PairBuckets`]) so schedulers
-//!   amortize membership scans, ℓ-lookups and counter reads over runs of
-//!   identical pairs while keeping reports byte-identical.
-//! * [`parallel`] — intra-run parallelism: a persistent fork-join pool
-//!   ([`parallel::IntraPool`]) that shards one simulation's bucketing scans
-//!   by rack-pair ownership ([`simulator::SimConfig::intra_threads`]).
 //! * [`sweep`] — deterministic parallel fan-out of
 //!   (algorithm × b × trace-seed × algo-seed) runs across threads; each
 //!   job carries a [`dcn_traces::TraceSpec`] and synthesizes its own
-//!   stream in-place.
+//!   stream in-place. This is the only parallelism: each simulation runs
+//!   sequentially, as in §3.1.
 //! * [`cancel`] / [`journal`] / [`sweep::run_jobs_supervised`] — the
 //!   fault-tolerance layer: cooperative per-job deadlines observed at chunk
 //!   boundaries, `catch_unwind` supervision with a deterministic retry
@@ -68,22 +63,18 @@
 
 pub mod algorithms;
 pub mod analysis;
-pub mod batch;
 pub mod cancel;
 pub mod journal;
-pub mod parallel;
 pub mod ratio;
 pub mod report;
 pub mod scheduler;
 pub mod simulator;
 pub mod sweep;
 
-pub use batch::PairBuckets;
 pub use cancel::CancelToken;
 pub use journal::RunJournal;
-pub use parallel::IntraPool;
 pub use ratio::{cost_ratio_vs_static, RatioOutcome};
 pub use report::{AveragedSeries, Checkpoint, RunReport};
-pub use scheduler::{OnlineScheduler, ServeOutcome};
-pub use simulator::{run, total_served, RequestStream, ServeMode, SimConfig};
+pub use scheduler::{IntraPool, OnlineScheduler, ServeOutcome};
+pub use simulator::{run, total_served, RequestStream, SimConfig};
 pub use sweep::{JobFailure, JobOutcome, ShardSpec, Supervisor};

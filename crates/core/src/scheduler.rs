@@ -7,28 +7,15 @@
 //! [`serve_batch`](OnlineScheduler::serve_batch) call per chunk, which
 //! accumulates the chunk's cost components into a [`BatchOutcome`].
 //!
-//! There are three batch entry points, all required to produce identical
-//! accounting:
-//!
-//! * [`serve_batch_unsorted`](OnlineScheduler::serve_batch_unsorted) — the
-//!   straight per-request pass. The default loops
-//!   [`serve`](OnlineScheduler::serve) (statically dispatched inside the
-//!   implementor, so even the default removes the per-request virtual
-//!   call); the hot algorithms override it with a fused loop.
-//! * [`serve_batch`](OnlineScheduler::serve_batch) — the preferred path.
-//!   Schedulers with pair-bucketed overrides (R-BMA, BMA, Oblivious,
-//!   Rotor) preprocess the chunk through [`crate::batch::PairBuckets`] and
-//!   amortize per-pair reads over runs of identical pairs; everyone else
-//!   inherits the default, which simply delegates to the unsorted pass.
-//! * [`serve_batch_sharded`](OnlineScheduler::serve_batch_sharded) — same
-//!   as `serve_batch` but shards the bucketing scan across an
-//!   [`IntraPool`](crate::parallel::IntraPool); the default ignores the
-//!   pool and delegates to `serve_batch`.
-//!
-//! Accounting is part of the contract: however a scheduler batches, the
-//! accumulated [`BatchOutcome`] must equal what per-request serving plus
-//! [`BatchOutcome::record`] would produce — batched and unbatched runs are
-//! required to yield identical reports (pinned by simulator tests).
+//! A scheduler implements [`serve`](OnlineScheduler::serve) and may
+//! override `serve_batch` with one fused loop (R-BMA, BMA, Oblivious and
+//! Rotor do) that drops the per-request dispatch and folds the accounting
+//! inline. Accounting is part of the contract: the accumulated
+//! [`BatchOutcome`] must equal what per-request serving plus
+//! [`BatchOutcome::record`] would produce —
+//! [`serve_batch_unsorted`](OnlineScheduler::serve_batch_unsorted) is
+//! exactly that loop, overridden by no scheduler, and the tests compare
+//! every `serve_batch` against it on full reports.
 
 use dcn_matching::BMatching;
 use dcn_topology::{DistanceMatrix, Pair};
@@ -86,6 +73,15 @@ impl BatchOutcome {
     }
 }
 
+/// Retired intra-run worker pool. Serving is sequential within a run, and
+/// parallelism lives in the sweep executor ([`crate::sweep`]), where jobs
+/// are independent. The type survives, uninhabited, only so that
+/// out-of-tree code naming it and
+/// [`OnlineScheduler::serve_batch_sharded`] keeps compiling; no value of
+/// it can exist.
+#[derive(Debug)]
+pub enum IntraPool {}
+
 /// An online algorithm maintaining a dynamic b-matching.
 pub trait OnlineScheduler {
     /// Short machine-readable name for reports (e.g. `"R-BMA"`).
@@ -97,13 +93,13 @@ pub trait OnlineScheduler {
     /// Serves one request and applies any reconfigurations.
     fn serve(&mut self, pair: Pair) -> ServeOutcome;
 
-    /// Serves a batch one request at a time, with no preprocessing.
-    ///
-    /// Must be behaviorally identical to serving the batch one request at a
-    /// time through [`serve`](Self::serve) and folding each outcome with
-    /// [`BatchOutcome::record`] — the default does exactly that. `dm` is
-    /// the distance matrix the *simulator* accounts routing cost with
-    /// (schedulers keep using their own for decisions).
+    /// Serves a batch one request at a time through
+    /// [`serve`](Self::serve), folding each outcome with
+    /// [`BatchOutcome::record`] — the per-request reference every
+    /// [`serve_batch`](Self::serve_batch) must match. `dm` is the distance
+    /// matrix the *simulator* accounts routing cost with (schedulers keep
+    /// using their own for decisions). Kept with this default body only;
+    /// no scheduler overrides it.
     fn serve_batch_unsorted(
         &mut self,
         batch: &[Pair],
@@ -116,28 +112,22 @@ pub trait OnlineScheduler {
         }
     }
 
-    /// Serves a batch of requests, accumulating cost components into `acc`.
-    ///
-    /// The preferred entry point: implementors may preprocess the chunk
-    /// (e.g. bucket it by rack pair, [`crate::batch::PairBuckets`]) — or
-    /// pick a different internal pass per chunk, as R-BMA's specials-share
-    /// density dispatch does — as long as the accumulated outcome stays
-    /// identical to
-    /// [`serve_batch_unsorted`](Self::serve_batch_unsorted) — byte-identical
-    /// reports across the two paths are pinned by simulator tests.
+    /// Serves a batch of requests, accumulating cost components into `acc`
+    /// — the simulator's one call per chunk. Overrides run a fused loop;
+    /// the accumulated outcome and the scheduler's end state must stay
+    /// identical to [`serve_batch_unsorted`](Self::serve_batch_unsorted).
     fn serve_batch(&mut self, batch: &[Pair], dm: &DistanceMatrix, acc: &mut BatchOutcome) {
         self.serve_batch_unsorted(batch, dm, acc);
     }
 
-    /// Like [`serve_batch`](Self::serve_batch), but may shard its
-    /// preprocessing scan across `pool`'s workers. All state mutation must
-    /// stay on the calling thread in request order, so the outcome is
-    /// byte-identical at any pool width. The default ignores the pool.
+    /// Kept for source compatibility: delegates to
+    /// [`serve_batch`](Self::serve_batch). `pool` is uninhabited, so no
+    /// caller can reach this.
     fn serve_batch_sharded(
         &mut self,
         batch: &[Pair],
         dm: &DistanceMatrix,
-        _pool: &crate::parallel::IntraPool,
+        _pool: &IntraPool,
         acc: &mut BatchOutcome,
     ) {
         self.serve_batch(batch, dm, acc);

@@ -1,5 +1,5 @@
-//! Telemetry must be a pure observer: for every scheduler, batch size and
-//! intra-pool width, a run with an enabled `Telemetry` handle must produce
+//! Telemetry must be a pure observer: for every scheduler and batch size,
+//! a run with an enabled `Telemetry` handle must produce
 //! a **byte-identical** `RunReport` (serialized JSON, wall-clock zeroed —
 //! the one field defined to vary) to the same run with telemetry disabled.
 //! RNG streams, cost accounting and checkpoint grids may not shift by one
@@ -76,7 +76,7 @@ fn factories(dm: &Arc<DistanceMatrix>) -> Vec<(&'static str, Factory)> {
     ]
 }
 
-fn check_identity(racks: usize, len: usize, seed: u64, batch: usize, intra: usize) {
+fn check_identity(racks: usize, len: usize, seed: u64, batch: usize) {
     let net = builders::fat_tree_with_racks(racks);
     let dm = Arc::new(DistanceMatrix::between_racks(&net));
     let trace = make_trace(dm.num_racks() as u32, len, seed);
@@ -85,7 +85,6 @@ fn check_identity(racks: usize, len: usize, seed: u64, batch: usize, intra: usiz
     let base = SimConfig {
         checkpoints: vec![len / 3 + 1, len.saturating_sub(1)],
         batch_size: batch,
-        intra_threads: intra,
         telemetry: Telemetry::disabled(),
         ..SimConfig::default()
     };
@@ -104,7 +103,7 @@ fn check_identity(racks: usize, len: usize, seed: u64, batch: usize, intra: usiz
         assert_eq!(
             canonical_json(off),
             canonical_json(on),
-            "{name} b={batch} intra={intra}: telemetry perturbed the report"
+            "{name} b={batch}: telemetry perturbed the report"
         );
         if dcn_telemetry::compiled() {
             let snap = sink.snapshot();
@@ -131,18 +130,18 @@ proptest! {
         len in 60usize..300,
         seed in 0u64..10_000,
         batch in 1usize..130,
-        intra in 1usize..4,
     ) {
-        check_identity(racks, len, seed, batch, intra);
+        check_identity(racks, len, seed, batch);
     }
 }
 
-/// Pinned corners: per-request serving, whole-trace batches, widest pool.
+/// Pinned corners: per-request serving, whole-trace batches, a chunk size
+/// that divides nothing.
 #[test]
 fn pinned_corner_cases() {
-    check_identity(8, 150, 42, 1, 1);
-    check_identity(12, 200, 7, 100_000, 1);
-    check_identity(10, 200, 3, 64, 3);
+    check_identity(8, 150, 42, 1);
+    check_identity(12, 200, 7, 100_000);
+    check_identity(10, 200, 3, 64);
 }
 
 /// The supervised executor is under the same contract: with the sink on,
