@@ -1,8 +1,10 @@
 //! Offline-machinery benchmarks: the SO-BMA pipeline (demand aggregation →
-//! blossom rounds) and the switch-assignment edge coloring.
+//! blossom rounds → the per-checkpoint series) and the switch-assignment
+//! edge coloring.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dcn_core::algorithms::static_offline::{demand_edges, so_bma_matching};
+use dcn_bench::FigureSpec;
+use dcn_core::algorithms::static_offline::{demand_edges, so_bma_matching, so_bma_series};
 use dcn_matching::{edge_coloring, greedy_b_matching, max_weight_matching, WeightedEdge};
 use dcn_topology::{builders, DistanceMatrix};
 use dcn_traces::generators::facebook::facebook_cluster_trace;
@@ -60,6 +62,15 @@ fn so_bma_pipeline(c: &mut Criterion) {
             },
         );
     }
+    // Panel (c)'s SO-BMA series for one repetition of Fig. 1 at paper scale
+    // (350k requests, 14 checkpoints, b = 18): the unit a `fig1` pass of the
+    // repository benchmark times as `offline.so_bma`.
+    let fig1 = FigureSpec::by_id("fig1").expect("fig1 is a paper figure");
+    let (fig1_dm, fig1_trace, cps) = (fig1.distances(), fig1.trace(0), fig1.checkpoints());
+    let b_max = *fig1.bs.last().expect("non-empty b sweep");
+    group.bench_function("series_fig1_rep0", |bencher| {
+        bencher.iter(|| black_box(so_bma_series(&fig1_dm, &fig1_trace.requests, b_max, &cps)))
+    });
     group.finish();
 }
 

@@ -3,7 +3,7 @@
 
 use crate::{FigureSpec, Workload};
 use dcn_core::algorithms::rbma::{Rbma, RemovalMode};
-use dcn_core::algorithms::static_offline::{so_bma_matching, static_routing_cost};
+use dcn_core::algorithms::static_offline::so_bma_series;
 use dcn_core::algorithms::AlgorithmKind;
 use dcn_core::sweep::{run_jobs, steal_map, Job, ShardSpec};
 use dcn_core::OnlineScheduler;
@@ -214,8 +214,7 @@ pub fn ablation_augmentation(scale: f64, threads: usize, shard: ShardSpec) -> Si
         let mut so = 0.0;
         for rep in 0..spec.repetitions {
             let trace = spec.trace(rep);
-            let m = so_bma_matching(&dm, &trace.requests, a);
-            so += static_routing_cost(&dm, &trace.requests, &m) as f64;
+            so += so_bma_series(&dm, &trace.requests, a, &[trace.requests.len()])[0].1 as f64;
         }
         so /= spec.repetitions as f64;
         rows.push((format!("a={a}"), vec![so, rbma_total, rbma_total / so]));

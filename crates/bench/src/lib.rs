@@ -929,6 +929,28 @@ mod tests {
         assert!(series[2].y_mean.windows(2).all(|w| w[0] <= w[1]));
     }
 
+    /// Fig. 1 at 1/100 scale, repetition 0, b = 18: the one-pass series is
+    /// pinned, and equals the per-checkpoint replay through
+    /// `static_routing_cost`.
+    #[test]
+    fn so_bma_series_pinned_on_scaled_fig1() {
+        use dcn_core::algorithms::static_offline::{so_bma_matching, static_routing_cost};
+        let spec = FigureSpec::by_id("fig1").expect("fig1 exists").scaled(100);
+        let (dm, trace, cps) = (spec.distances(), spec.trace(0), spec.checkpoints());
+        let b = *spec.bs.last().expect("non-empty b sweep");
+        let series = so_bma_series(&dm, &trace.requests, b, &cps);
+        let costs: Vec<u64> = series.iter().map(|&(_, cost)| cost).collect();
+        assert_eq!(
+            costs,
+            [251, 521, 833, 1142, 1479, 1811, 2158, 2498, 2846, 3207, 3587, 3964, 4353, 4711]
+        );
+        for &(cp, cost) in &series {
+            let prefix = &trace.requests[..cp];
+            let matching = so_bma_matching(&dm, prefix, b);
+            assert_eq!(cost, static_routing_cost(&dm, prefix, &matching), "cp {cp}");
+        }
+    }
+
     #[test]
     fn markdown_and_csv_render() {
         let series = vec![AveragedSeries {

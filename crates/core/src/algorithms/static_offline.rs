@@ -23,9 +23,15 @@ pub fn demand_edges(dm: &DistanceMatrix, requests: &[Pair]) -> Vec<WeightedEdge>
     for &r in requests {
         *counts.entry(r).or_insert(0) += 1;
     }
+    saving_edges(dm, &counts)
+}
+
+/// The weighted candidate edges of aggregated pair counts, in the map's
+/// iteration order.
+fn saving_edges(dm: &DistanceMatrix, counts: &FxHashMap<Pair, i64>) -> Vec<WeightedEdge> {
     counts
-        .into_iter()
-        .filter_map(|(pair, cnt)| {
+        .iter()
+        .filter_map(|(&pair, &cnt)| {
             let saving = (dm.ell(pair) as i64 - 1) * cnt;
             (saving > 0).then(|| WeightedEdge::new(pair.lo(), pair.hi(), saving))
         })
@@ -55,22 +61,72 @@ pub fn static_routing_cost(dm: &DistanceMatrix, requests: &[Pair], matching: &[P
 
 /// SO-BMA evaluated at a sequence of checkpoints: for each prefix length,
 /// the matching is recomputed on that prefix's demand (clairvoyant up to the
-/// checkpoint, as in the paper's figures) and the prefix is replayed.
-/// Returns `(checkpoint, routing_cost)` rows.
+/// checkpoint, as in the paper's figures) and the prefix is priced against
+/// it. Returns `(checkpoint, routing_cost)` rows; a checkpoint beyond the
+/// trace prices the whole trace.
+///
+/// The accounting makes one pass over the trace. Pair counts (a dense
+/// `n × n` index into the prefix's distinct pairs, in first-occurrence
+/// order) and a running `Σℓ` are extended from one checkpoint to the next; a
+/// checkpoint lower than the one before it restarts them. Each checkpoint
+/// feeds its distinct pairs, in that order, to a fresh `FxHashMap`: repeat
+/// requests only update a value, so this map is laid out exactly like the
+/// one [`demand_edges`] fills from the whole prefix, and yields the same
+/// edge list and hence the same matching. A prefix's cost is
+/// `Σℓ − Σ_{e∈M} w_e`: each request on a matched pair costs 1 instead of
+/// `ℓ_e`, which saves exactly the pair's weight `w_e = count_e · (ℓ_e − 1)`.
+/// That is [`static_routing_cost`] of the prefix against its matching,
+/// without replaying the prefix.
 pub fn so_bma_series(
     dm: &DistanceMatrix,
     requests: &[Pair],
     b: usize,
     checkpoints: &[usize],
 ) -> Vec<(usize, u64)> {
-    checkpoints
-        .iter()
-        .map(|&cp| {
-            let prefix = &requests[..cp.min(requests.len())];
-            let matching = so_bma_matching(dm, prefix, b);
-            (cp, static_routing_cost(dm, prefix, &matching))
-        })
-        .collect()
+    let n = dm.num_racks();
+    let mut rows = Vec::with_capacity(checkpoints.len());
+    // slot[lo · n + hi]: 1 + the pair's index in `seen`, 0 while unseen.
+    // n² entries, as many as the distance matrix holds.
+    let mut slot = vec![0u32; n * n];
+    let mut seen: Vec<(Pair, i64)> = Vec::new();
+    let mut ell_sum = 0u64;
+    let mut done = 0;
+    for &cp in checkpoints {
+        let end = cp.min(requests.len());
+        if end < done {
+            slot.fill(0);
+            seen.clear();
+            ell_sum = 0;
+            done = 0;
+        }
+        for &r in &requests[done..end] {
+            let s = &mut slot[r.lo() as usize * n + r.hi() as usize];
+            if *s == 0 {
+                seen.push((r, 0));
+                *s = seen.len() as u32;
+            }
+            seen[*s as usize - 1].1 += 1;
+            ell_sum += dm.ell(r) as u64;
+        }
+        done = end;
+        let edges = {
+            let mut counts: FxHashMap<Pair, i64> = FxHashMap::default();
+            for &(pair, count) in &seen {
+                counts.insert(pair, count);
+            }
+            saving_edges(dm, &counts)
+        };
+        let matching = repeated_mwm_b_matching(n, &edges, b);
+        let saved: u64 = matching
+            .iter()
+            .map(|p| {
+                let (_, count) = seen[slot[p.lo() as usize * n + p.hi() as usize] as usize - 1];
+                (count * (dm.ell(*p) as i64 - 1)) as u64
+            })
+            .sum();
+        rows.push((cp, ell_sum - saved));
+    }
+    rows
 }
 
 #[cfg(test)]

@@ -55,8 +55,9 @@ pub fn cost_ratio_vs_static(
         kind.build_online(dm.clone(), b, alpha, seed)
     };
     let online = run(&mut *scheduler, dm, alpha, trace, config);
-    let matching = static_offline::so_bma_matching(dm, requests, b);
-    let offline_cost = static_offline::static_routing_cost(dm, requests, &matching).max(1);
+    let offline_cost = static_offline::so_bma_series(dm, requests, b, &[requests.len()])[0]
+        .1
+        .max(1);
     let ratio = online.total.total_cost() as f64 / offline_cost as f64;
     RatioOutcome {
         online,

@@ -1,31 +1,76 @@
 //! Exact maximum-weight matching in general graphs — Edmonds' blossom
 //! algorithm in the O(n³) primal–dual formulation (Galil \[31\]).
 //!
-//! This is a faithful Rust port of the classic `mwmatching` formulation by
-//! Joris van Rantwijk, which is also the implementation behind NetworkX's
+//! This is a Rust port of the classic `mwmatching` formulation by Joris van
+//! Rantwijk, which is also the implementation behind NetworkX's
 //! `max_weight_matching` — i.e. *exactly* the routine the paper's SO-BMA
-//! baseline invokes (§3.1). The port keeps the original's structure
-//! (stages, dual adjustment with four delta types, blossom
-//! creation/expansion, least-slack edge tracking) so that it can be audited
-//! against the reference, and is validated in tests against a brute-force
-//! optimum on thousands of random graphs plus an independent
-//! complementary-slackness optimality certificate.
+//! baseline invokes (§3.1). The port keeps the original's structure and its
+//! order of operations (stages, dual adjustment with four delta types,
+//! blossom creation/expansion, least-slack edge tracking) so that it can be
+//! audited against the reference. Only the data layout is its own:
 //!
-//! Weights must be integers (`i64`); the algorithm then runs entirely in
-//! integer arithmetic (the S-S edge slack is provably even when weights are
-//! integral, which the implementation debug-asserts).
+//! * one CSR adjacency, built by a stable counting sort, whose slots carry
+//!   the remote endpoint, the remote vertex and twice the edge weight, so
+//!   the adjacency scan prices an edge without reading the edge arrays;
+//! * the scan's bookkeeping for non-tight edges runs in a flat inner loop
+//!   that keeps the scanning vertex's least-slack S–S edge in locals (duals
+//!   do not move during a scan) and reads other vertices' least slacks from
+//!   a cache refreshed after every dual adjustment;
+//! * no allocation per event: leaf lists, paths and the least-slack merge
+//!   use buffers owned by the solver, and `repeated_mwm_rounds` keeps one
+//!   solver across its `b` rounds.
+//!
+//! **Contract: identical mates, not just equal weight.** For every input the
+//! matcher returns exactly the mate vector of the original port, which
+//! `tests/blossom_reference.rs` keeps verbatim as a test-only reference.
+//! SO-BMA needs this: most demand edges tie with another edge's weight, and
+//! round `r + 1` of `repeated_mwm_rounds` runs on the edges round `r` left,
+//! so one different tie-break changes every later round, the SO-BMA series,
+//! and the figures built from it.
+//!
+//! Validation: `tests/blossom_reference.rs` checks identical mate vectors in
+//! a 400-case proptest (4–40 vertices, 10–100% density, weights from `1..=2`,
+//! `1..=4` or `1..=1000`, shuffled edge order), on the hand-written blossom,
+//! T-relabel and nested cases below, and round by round on a Fig. 1-shaped
+//! b = 18 instance. The unit tests below compare the weight with a
+//! brute-force optimum on 200 random graphs, `tests/matching_properties.rs`
+//! does the same in a 64-case proptest, and every debug-build call checks an
+//! independent complementary-slackness optimality certificate.
+//!
+//! Weights must be integers (`i64`) no larger than [`MAX_WEIGHT`]; the
+//! algorithm then runs entirely in integer arithmetic (the S-S edge slack is
+//! provably even when weights are integral, which the implementation
+//! debug-asserts).
 
 use crate::WeightedEdge;
 use dcn_topology::Pair;
 
 const NONE: usize = usize::MAX;
 
+/// The largest edge weight the matcher accepts: `i64::MAX / 8`.
+///
+/// The solver keeps doubled duals (an edge's slack is `π_i + π_j − 2·w`).
+/// With `W` the largest weight, every value it computes stays within `6·W`:
+///
+/// * vertex duals start at `W`, never drop below 0 (delta type 1), and
+///   never exceed `2·W`: a matched vertex's edge is tight, so its dual is at
+///   most twice that edge's weight minus non-negative duals;
+/// * a blossom contains a tight matched edge, so the duals of the blossoms
+///   nested around any edge sum to at most `W`;
+/// * a slack therefore lies in `−2·W..=4·W`, and the optimality certificate
+///   adds at most `2·W` of blossom duals to it.
+///
+/// At `W = i64::MAX / 8` that is at most `0.75 · i64::MAX`, so no sum
+/// overflows.
+pub const MAX_WEIGHT: i64 = i64::MAX / 8;
+
 /// Computes a maximum-weight matching; returns `mate[v] = Some(w)` iff edge
 /// `{v, w}` is matched. The matching maximizes total weight (it is *not*
 /// required to have maximum cardinality). Edges with non-positive weight are
 /// never matched.
 ///
-/// Panics if an edge references a vertex `>= n` or has equal endpoints.
+/// Panics if an edge references a vertex `>= n`, has equal endpoints, or
+/// weighs more than [`MAX_WEIGHT`].
 ///
 /// ```
 /// use dcn_matching::{max_weight_matching, WeightedEdge};
@@ -40,62 +85,47 @@ const NONE: usize = usize::MAX;
 /// assert_eq!(mate, vec![Some(1), Some(0), Some(3), Some(2)]);
 /// ```
 pub fn max_weight_matching(n: usize, edges: &[WeightedEdge]) -> Vec<Option<u32>> {
-    for e in edges {
-        assert!(e.u != e.v, "self-loop in matching input");
-        assert!(
-            (e.u as usize) < n && (e.v as usize) < n,
-            "edge endpoint out of range"
-        );
-    }
-    // Non-positive edges can never be part of a maximum *weight* matching;
-    // dropping them early keeps the dual start value tight.
-    let filtered: Vec<(usize, usize, i64)> = edges
-        .iter()
-        .filter(|e| e.weight > 0)
-        .map(|e| (e.u as usize, e.v as usize, e.weight))
-        .collect();
-    if filtered.is_empty() || n == 0 {
+    let mut m = Matcher::default();
+    if !m.run(n, edges) {
         return vec![None; n];
     }
-    let mut m = Matcher::new(n, filtered);
-    m.solve();
-    debug_assert!(m.verify_optimum(), "blossom optimality certificate failed");
-    m.mate
-        .iter()
-        .map(|&p| {
-            if p == NONE {
-                None
-            } else {
-                Some(m.endpoint[p] as u32)
-            }
-        })
+    (0..n)
+        .map(|v| (m.mate[v] != NONE).then(|| m.endpoint[m.mate[v]] as u32))
         .collect()
 }
 
 /// Like [`max_weight_matching`] but returns the matched pairs directly.
 pub fn max_weight_matching_pairs(n: usize, edges: &[WeightedEdge]) -> Vec<Pair> {
-    let mate = max_weight_matching(n, edges);
-    let mut pairs = Vec::new();
-    for (v, &m) in mate.iter().enumerate() {
-        if let Some(w) = m {
-            if (v as u32) < w {
-                pairs.push(Pair::new(v as u32, w));
-            }
-        }
-    }
-    pairs
+    Matcher::default().matching_pairs(n, edges)
 }
 
-/// Internal solver state; field names follow the reference implementation.
-struct Matcher {
+/// One adjacency slot of vertex `v`: an edge `{v, w}` seen from `v`.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    /// Remote endpoint `p` (edge `p / 2`; `endpoint[p] == w`).
+    p: u32,
+    /// Remote vertex `w`.
+    w: u32,
+    /// Twice the edge's weight.
+    wt2: i64,
+}
+
+/// Solver state and workspace; field names follow the reference
+/// implementation. One `Matcher` can solve any number of instances: each
+/// [`Matcher::run`] refills its buffers, so repeated calls allocate only
+/// when an instance outgrows them.
+#[derive(Default)]
+pub(crate) struct Matcher {
     nvertex: usize,
     nedge: usize,
-    /// (i, j, weight) per edge.
-    edges: Vec<(usize, usize, i64)>,
     /// endpoint[p]: vertex at directed endpoint p (edge p/2, side p%2).
     endpoint: Vec<usize>,
-    /// neighbend[v]: remote endpoints of edges incident to v.
-    neighbend: Vec<Vec<usize>>,
+    /// wt2[k]: twice the weight of edge k.
+    wt2: Vec<i64>,
+    /// CSR adjacency: v's edges are `adj[adjstart[v]..adjstart[v + 1]]`, in
+    /// input order (the reference's `neighbend[v]`).
+    adjstart: Vec<usize>,
+    adj: Vec<Slot>,
     /// mate[v]: remote *endpoint* of matched edge, or NONE.
     mate: Vec<usize>,
     /// label[b] for vertex/blossom b: 0 free, 1 S, 2 T, 5 breadcrumb.
@@ -110,70 +140,182 @@ struct Matcher {
     blossomendps: Vec<Vec<usize>>,
     /// bestedge[b]: least-slack edge to a different S-blossom.
     bestedge: Vec<usize>,
-    blossombestedges: Vec<Option<Vec<usize>>>,
+    /// bestslack[b] == slack(bestedge[b]) whenever bestedge[b] != NONE;
+    /// refreshed after every dual adjustment.
+    bestslack: Vec<i64>,
+    /// blossombestedges[b]: the reference's `Some(list)` when
+    /// `hasbestedges[b]`, its `None` otherwise.
+    blossombestedges: Vec<Vec<usize>>,
+    hasbestedges: Vec<bool>,
     unusedblossoms: Vec<usize>,
     dualvar: Vec<i64>,
     allowedge: Vec<bool>,
     queue: Vec<usize>,
+    /// Scratch: leaf vertices of one blossom.
+    leaves: Vec<usize>,
+    /// Scratch: the breadcrumb path of `scan_blossom`.
+    path: Vec<usize>,
+    /// Scratch for `add_blossom`, all NONE between calls: least-slack edge
+    /// from the new blossom to each neighbouring S-blossom.
+    bestedgeto: Vec<usize>,
+}
+
+/// Appends the leaf vertices of blossom `b` to `out`, children in order.
+fn push_leaves(childs: &[Vec<usize>], nvertex: usize, b: usize, out: &mut Vec<usize>) {
+    if b < nvertex {
+        out.push(b);
+    } else {
+        for &t in &childs[b] {
+            push_leaves(childs, nvertex, t, out);
+        }
+    }
+}
+
+/// Clears `v` and refills it with `len` copies of `value`.
+fn refill<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
+    v.clear();
+    v.resize(len, value);
+}
+
+/// Makes `v` hold `len` empty lists, keeping their allocations.
+fn refill_lists(v: &mut Vec<Vec<usize>>, len: usize) {
+    v.truncate(len);
+    v.iter_mut().for_each(Vec::clear);
+    v.resize_with(len, Vec::new);
 }
 
 impl Matcher {
-    fn new(nvertex: usize, edges: Vec<(usize, usize, i64)>) -> Self {
-        let nedge = edges.len();
-        let maxweight = edges.iter().map(|e| e.2).max().unwrap_or(0).max(0);
-        let mut endpoint = Vec::with_capacity(2 * nedge);
-        for &(i, j, _) in &edges {
-            endpoint.push(i);
-            endpoint.push(j);
+    /// Solves `edges` on `n` vertices and returns the matched pairs, each
+    /// as `(lo, hi)` in increasing order of `lo`.
+    pub(crate) fn matching_pairs(&mut self, n: usize, edges: &[WeightedEdge]) -> Vec<Pair> {
+        let mut pairs = Vec::new();
+        if self.run(n, edges) {
+            for v in 0..n {
+                if self.mate[v] != NONE {
+                    let w = self.endpoint[self.mate[v]];
+                    if v < w {
+                        pairs.push(Pair::new(v as u32, w as u32));
+                    }
+                }
+            }
         }
-        let mut neighbend = vec![Vec::new(); nvertex];
-        for (k, &(i, j, _)) in edges.iter().enumerate() {
-            neighbend[i].push(2 * k + 1);
-            neighbend[j].push(2 * k);
+        pairs
+    }
+
+    /// Loads the instance and solves it. Returns false (and solves nothing)
+    /// when no edge has positive weight or `n == 0`: every vertex is free.
+    fn run(&mut self, n: usize, edges: &[WeightedEdge]) -> bool {
+        if !self.load(n, edges) {
+            return false;
         }
-        let mut dualvar = vec![maxweight; nvertex];
-        dualvar.extend(std::iter::repeat_n(0, nvertex));
-        Self {
-            nvertex,
-            nedge,
-            edges,
-            endpoint,
-            neighbend,
-            mate: vec![NONE; nvertex],
-            label: vec![0; 2 * nvertex],
-            labelend: vec![NONE; 2 * nvertex],
-            inblossom: (0..nvertex).collect(),
-            blossomparent: vec![NONE; 2 * nvertex],
-            blossomchilds: vec![Vec::new(); 2 * nvertex],
-            blossombase: (0..nvertex)
-                .chain(std::iter::repeat_n(NONE, nvertex))
-                .collect(),
-            blossomendps: vec![Vec::new(); 2 * nvertex],
-            bestedge: vec![NONE; 2 * nvertex],
-            blossombestedges: vec![None; 2 * nvertex],
-            unusedblossoms: (nvertex..2 * nvertex).collect(),
-            dualvar,
-            allowedge: vec![false; nedge],
-            queue: Vec::new(),
+        self.solve();
+        debug_assert!(
+            self.verify_optimum(),
+            "blossom optimality certificate failed"
+        );
+        true
+    }
+
+    /// Validates `edges` and refills every buffer for a fresh solve.
+    fn load(&mut self, n: usize, edges: &[WeightedEdge]) -> bool {
+        for e in edges {
+            assert!(e.u != e.v, "self-loop in matching input");
+            assert!(
+                (e.u as usize) < n && (e.v as usize) < n,
+                "edge endpoint out of range"
+            );
+            assert!(
+                e.weight <= MAX_WEIGHT,
+                "edge weight {} above blossom::MAX_WEIGHT = i64::MAX / 8",
+                e.weight
+            );
         }
+        // Non-positive edges can never be part of a maximum *weight*
+        // matching; dropping them early keeps the dual start value tight.
+        self.endpoint.clear();
+        self.wt2.clear();
+        let mut maxweight = 0;
+        for e in edges.iter().filter(|e| e.weight > 0) {
+            self.endpoint.push(e.u as usize);
+            self.endpoint.push(e.v as usize);
+            self.wt2.push(2 * e.weight);
+            maxweight = maxweight.max(e.weight);
+        }
+        let nedge = self.wt2.len();
+        if nedge == 0 || n == 0 {
+            return false;
+        }
+        assert!(
+            self.endpoint.len() <= u32::MAX as usize,
+            "too many edges for the blossom matcher"
+        );
+        self.nvertex = n;
+        self.nedge = nedge;
+
+        // CSR by a stable counting sort: edge k lands in i's list as remote
+        // endpoint 2k+1 and in j's as 2k, lists in increasing k — the order
+        // the reference's `neighbend` pushes them in.
+        refill(&mut self.adjstart, n + 1, 0);
+        for &v in &self.endpoint {
+            self.adjstart[v + 1] += 1;
+        }
+        for v in 0..n {
+            self.adjstart[v + 1] += self.adjstart[v];
+        }
+        refill(&mut self.adj, 2 * nedge, Slot::default());
+        for k in 0..nedge {
+            let (i, j, wt2) = (self.endpoint[2 * k], self.endpoint[2 * k + 1], self.wt2[k]);
+            for (v, p, w) in [(i, 2 * k + 1, j), (j, 2 * k, i)] {
+                // adjstart[v] serves as v's fill cursor here.
+                self.adj[self.adjstart[v]] = Slot {
+                    p: p as u32,
+                    w: w as u32,
+                    wt2,
+                };
+                self.adjstart[v] += 1;
+            }
+        }
+        // Each cursor now sits at the next list's start: shift them back.
+        self.adjstart.copy_within(0..n, 1);
+        self.adjstart[0] = 0;
+
+        refill(&mut self.mate, n, NONE);
+        refill(&mut self.label, 2 * n, 0);
+        refill(&mut self.labelend, 2 * n, NONE);
+        self.inblossom.clear();
+        self.inblossom.extend(0..n);
+        refill(&mut self.blossomparent, 2 * n, NONE);
+        refill_lists(&mut self.blossomchilds, 2 * n);
+        self.blossombase.clear();
+        self.blossombase.extend(0..n);
+        self.blossombase.resize(2 * n, NONE);
+        refill_lists(&mut self.blossomendps, 2 * n);
+        refill(&mut self.bestedge, 2 * n, NONE);
+        refill(&mut self.bestslack, 2 * n, 0);
+        refill_lists(&mut self.blossombestedges, 2 * n);
+        refill(&mut self.hasbestedges, 2 * n, false);
+        self.unusedblossoms.clear();
+        self.unusedblossoms.extend(n..2 * n);
+        refill(&mut self.dualvar, n, maxweight);
+        self.dualvar.resize(2 * n, 0);
+        refill(&mut self.allowedge, nedge, false);
+        self.queue.clear();
+        refill(&mut self.bestedgeto, 2 * n, NONE);
+        true
     }
 
     /// Slack of edge k: π_i + π_j − 2·w_k (non-negative for tight duals).
     #[inline]
     fn slack(&self, k: usize) -> i64 {
-        let (i, j, wt) = self.edges[k];
-        self.dualvar[i] + self.dualvar[j] - 2 * wt
+        self.dualvar[self.endpoint[2 * k]] + self.dualvar[self.endpoint[2 * k + 1]] - self.wt2[k]
     }
 
-    /// Collects the leaf vertices of blossom `b` into `out`.
-    fn collect_leaves(&self, b: usize, out: &mut Vec<usize>) {
-        if b < self.nvertex {
-            out.push(b);
-        } else {
-            for &t in &self.blossomchilds[b] {
-                self.collect_leaves(t, out);
-            }
-        }
+    /// Refills `leaves` with the leaf vertices of blossom `b`, children in
+    /// order. Callers pass the `leaves` scratch, taken out of the solver for
+    /// the call and put back after use.
+    fn leaves_into(&self, b: usize, leaves: &mut Vec<usize>) {
+        leaves.clear();
+        push_leaves(&self.blossomchilds, self.nvertex, b, leaves);
     }
 
     /// Assigns label `t` to vertex `w` (through endpoint `p`), propagating
@@ -188,9 +330,7 @@ impl Matcher {
         self.bestedge[w] = NONE;
         self.bestedge[b] = NONE;
         if t == 1 {
-            let mut leaves = Vec::new();
-            self.collect_leaves(b, &mut leaves);
-            self.queue.extend(leaves);
+            push_leaves(&self.blossomchilds, self.nvertex, b, &mut self.queue);
         } else if t == 2 {
             let base = self.blossombase[b];
             debug_assert!(self.mate[base] != NONE);
@@ -202,7 +342,8 @@ impl Matcher {
     /// Traces back from S-vertices `v` and `w`; returns the base of a new
     /// blossom (common ancestor) or NONE if an augmenting path was found.
     fn scan_blossom(&mut self, mut v: usize, mut w: usize) -> usize {
-        let mut path = Vec::new();
+        let mut path = std::mem::take(&mut self.path);
+        path.clear();
         let mut base = NONE;
         while v != NONE || w != NONE {
             let mut b = self.inblossom[v];
@@ -227,15 +368,29 @@ impl Matcher {
                 std::mem::swap(&mut v, &mut w);
             }
         }
-        for b in path {
+        for &b in &path {
             self.label[b] = 1;
         }
+        self.path = path;
         base
+    }
+
+    /// Offers edge `k2`, seen from new blossom `b` towards vertex `j`, as
+    /// the least-slack edge from `b` to `j`'s S-blossom.
+    #[inline]
+    fn offer_bestedgeto(&mut self, b: usize, j: usize, k2: usize) {
+        let bj = self.inblossom[j];
+        if bj != b
+            && self.label[bj] == 1
+            && (self.bestedgeto[bj] == NONE || self.slack(k2) < self.slack(self.bestedgeto[bj]))
+        {
+            self.bestedgeto[bj] = k2;
+        }
     }
 
     /// Creates a new blossom with the given base, closed by edge `k`.
     fn add_blossom(&mut self, base: usize, k: usize) {
-        let (mut v, mut w, _) = self.edges[k];
+        let (mut v, mut w) = (self.endpoint[2 * k], self.endpoint[2 * k + 1]);
         let bb = self.inblossom[base];
         let mut bv = self.inblossom[v];
         let mut bw = self.inblossom[w];
@@ -244,8 +399,10 @@ impl Matcher {
         self.blossomparent[b] = NONE;
         self.blossomparent[bb] = b;
 
-        let mut path = Vec::new();
-        let mut endps = Vec::new();
+        // The recycled id's lists are empty; build the new ones in place.
+        let mut path = std::mem::take(&mut self.blossomchilds[b]);
+        let mut endps = std::mem::take(&mut self.blossomendps[b]);
+        debug_assert!(path.is_empty() && endps.is_empty());
         while bv != bb {
             self.blossomparent[bv] = b;
             path.push(bv);
@@ -281,12 +438,12 @@ impl Matcher {
         self.label[b] = 1;
         self.labelend[b] = self.labelend[bb];
         self.dualvar[b] = 0;
-        self.blossomchilds[b] = path.clone();
+        self.blossomchilds[b] = path;
         self.blossomendps[b] = endps;
 
         // Relabel the blossom's vertices; former T-vertices become S.
-        let mut leaves = Vec::new();
-        self.collect_leaves(b, &mut leaves);
+        let mut leaves = std::mem::take(&mut self.leaves);
+        self.leaves_into(b, &mut leaves);
         for &lv in &leaves {
             if self.label[self.inblossom[lv]] == 2 {
                 self.queue.push(lv);
@@ -295,50 +452,60 @@ impl Matcher {
         }
 
         // Merge least-slack edge lists of the sub-blossoms.
-        let mut bestedgeto = vec![NONE; 2 * self.nvertex];
-        for &bv in &path {
-            let nblists: Vec<Vec<usize>> = match self.blossombestedges[bv].take() {
-                Some(list) => vec![list],
-                None => {
-                    let mut lvs = Vec::new();
-                    self.collect_leaves(bv, &mut lvs);
-                    lvs.iter()
-                        .map(|&lv| self.neighbend[lv].iter().map(|&p| p / 2).collect())
-                        .collect()
+        for c in 0..self.blossomchilds[b].len() {
+            let bv = self.blossomchilds[b][c];
+            if self.hasbestedges[bv] {
+                self.hasbestedges[bv] = false;
+                let mut list = std::mem::take(&mut self.blossombestedges[bv]);
+                for &k2 in &list {
+                    let (i, j) = (self.endpoint[2 * k2], self.endpoint[2 * k2 + 1]);
+                    let j = if self.inblossom[j] == b { i } else { j };
+                    self.offer_bestedgeto(b, j, k2);
                 }
-            };
-            for nblist in nblists {
-                for k2 in nblist {
-                    let (mut i, mut j, _) = self.edges[k2];
-                    if self.inblossom[j] == b {
-                        std::mem::swap(&mut i, &mut j);
-                    }
-                    let _ = i;
-                    let bj = self.inblossom[j];
-                    if bj != b
-                        && self.label[bj] == 1
-                        && (bestedgeto[bj] == NONE || self.slack(k2) < self.slack(bestedgeto[bj]))
-                    {
-                        bestedgeto[bj] = k2;
+                list.clear();
+                self.blossombestedges[bv] = list;
+            } else {
+                // Every leaf is now in `b`, so the far end of a slot is
+                // outside `b` exactly when the reference's swapped `j` is.
+                self.leaves_into(bv, &mut leaves);
+                for &lv in &leaves {
+                    for s in self.adjstart[lv]..self.adjstart[lv + 1] {
+                        let Slot { p, w, .. } = self.adj[s];
+                        self.offer_bestedgeto(b, w as usize, p as usize / 2);
                     }
                 }
             }
             self.bestedge[bv] = NONE;
         }
-        let bel: Vec<usize> = bestedgeto.into_iter().filter(|&k2| k2 != NONE).collect();
+        self.leaves = leaves;
+        let mut bel = std::mem::take(&mut self.blossombestedges[b]);
+        bel.clear();
+        for bj in 0..2 * self.nvertex {
+            if self.bestedgeto[bj] != NONE {
+                bel.push(self.bestedgeto[bj]);
+                self.bestedgeto[bj] = NONE;
+            }
+        }
         self.bestedge[b] = NONE;
         for &k2 in &bel {
             if self.bestedge[b] == NONE || self.slack(k2) < self.slack(self.bestedge[b]) {
                 self.bestedge[b] = k2;
             }
         }
-        self.blossombestedges[b] = Some(bel);
+        if self.bestedge[b] != NONE {
+            self.bestslack[b] = self.slack(self.bestedge[b]);
+        }
+        self.blossombestedges[b] = bel;
+        self.hasbestedges[b] = true;
     }
 
     /// Expands (dissolves) blossom `b`; if `endstage` is false, `b` is a
     /// T-blossom being expanded mid-stage and its children are relabeled.
     fn expand_blossom(&mut self, b: usize, endstage: bool) {
-        let childs = self.blossomchilds[b].clone();
+        // Nothing below reads b's own lists, so they are borrowed out and
+        // handed back, emptied, for the id's next use.
+        let mut childs = std::mem::take(&mut self.blossomchilds[b]);
+        let mut endps = std::mem::take(&mut self.blossomendps[b]);
         for &s in &childs {
             self.blossomparent[s] = NONE;
             if s < self.nvertex {
@@ -346,15 +513,15 @@ impl Matcher {
             } else if endstage && self.dualvar[s] == 0 {
                 self.expand_blossom(s, endstage);
             } else {
-                let mut lvs = Vec::new();
-                self.collect_leaves(s, &mut lvs);
-                for lv in lvs {
+                let mut leaves = std::mem::take(&mut self.leaves);
+                self.leaves_into(s, &mut leaves);
+                for &lv in &leaves {
                     self.inblossom[lv] = s;
                 }
+                self.leaves = leaves;
             }
         }
         if !endstage && self.label[b] == 2 {
-            let endps = self.blossomendps[b].clone();
             let len = childs.len() as isize;
             let idx = |j: isize| -> usize { j.rem_euclid(len) as usize };
             debug_assert!(self.labelend[b] != NONE);
@@ -399,9 +566,10 @@ impl Matcher {
                     j += jstep;
                     continue;
                 }
-                let mut lvs = Vec::new();
-                self.collect_leaves(bv, &mut lvs);
-                let reached = lvs.iter().copied().find(|&v| self.label[v] != 0);
+                let mut leaves = std::mem::take(&mut self.leaves);
+                self.leaves_into(bv, &mut leaves);
+                let reached = leaves.iter().copied().find(|&v| self.label[v] != 0);
+                self.leaves = leaves;
                 if let Some(v) = reached {
                     debug_assert_eq!(self.label[v], 2);
                     debug_assert_eq!(self.inblossom[v], bv);
@@ -415,12 +583,15 @@ impl Matcher {
             }
         }
         // Recycle the blossom id.
+        childs.clear();
+        endps.clear();
+        self.blossomchilds[b] = childs;
+        self.blossomendps[b] = endps;
         self.label[b] = 0;
         self.labelend[b] = NONE;
-        self.blossomchilds[b].clear();
-        self.blossomendps[b].clear();
         self.blossombase[b] = NONE;
-        self.blossombestedges[b] = None;
+        self.hasbestedges[b] = false;
+        self.blossombestedges[b].clear();
         self.bestedge[b] = NONE;
         self.unusedblossoms.push(b);
     }
@@ -436,8 +607,10 @@ impl Matcher {
         if t >= self.nvertex {
             self.augment_blossom(t, v);
         }
-        let childs = self.blossomchilds[b].clone();
-        let endps = self.blossomendps[b].clone();
+        // The recursion below only touches b's children, so b's lists are
+        // borrowed out for the walk and rotated once handed back.
+        let childs = std::mem::take(&mut self.blossomchilds[b]);
+        let endps = std::mem::take(&mut self.blossomendps[b]);
         let len = childs.len() as isize;
         let idx = |j: isize| -> usize { j.rem_euclid(len) as usize };
         let i = childs
@@ -466,6 +639,8 @@ impl Matcher {
             self.mate[self.endpoint[p]] = p ^ 1;
             self.mate[self.endpoint[p ^ 1]] = p;
         }
+        self.blossomchilds[b] = childs;
+        self.blossomendps[b] = endps;
         self.blossomchilds[b].rotate_left(i);
         self.blossomendps[b].rotate_left(i);
         self.blossombase[b] = self.blossombase[self.blossomchilds[b][0]];
@@ -474,7 +649,7 @@ impl Matcher {
 
     /// Augments the matching along the path through tight edge `k`.
     fn augment_matching(&mut self, k: usize) {
-        let (v, w, _) = self.edges[k];
+        let (v, w) = (self.endpoint[2 * k], self.endpoint[2 * k + 1]);
         for (mut s, mut p) in [(v, 2 * k + 1), (w, 2 * k)] {
             loop {
                 let bs = self.inblossom[s];
@@ -503,13 +678,71 @@ impl Matcher {
         }
     }
 
+    /// The adjacency scan of S-vertex `v` over slots `from..end`, up to the
+    /// first edge it must act on. Non-tight edges only update least-slack
+    /// bookkeeping, exactly as the reference's scan does, and are handled
+    /// here; the returned slot (or `end`) is the first edge to another
+    /// top-level blossom that is allowed, or that just became allowed with
+    /// slack ≤ 0.
+    ///
+    /// Duals do not move during a scan, so v's least-slack S–S edge and its
+    /// slack stay in locals until the loop returns, and the least slack of
+    /// a free vertex comes from `bestslack`.
+    fn scan_to_allowed(&mut self, v: usize, from: usize, end: usize) -> usize {
+        let Self {
+            adj,
+            inblossom,
+            dualvar,
+            label,
+            allowedge,
+            bestedge,
+            bestslack,
+            ..
+        } = self;
+        let bv = inblossom[v];
+        let dv = dualvar[v];
+        let mut best = bestedge[bv];
+        let mut best_slack = bestslack[bv];
+        let mut stop = end;
+        for (s, slot) in (from..end).zip(&adj[from..end]) {
+            let w = slot.w as usize;
+            let bw = inblossom[w];
+            if bw == bv {
+                continue;
+            }
+            let k = (slot.p >> 1) as usize;
+            if allowedge[k] {
+                stop = s;
+                break;
+            }
+            let kslack = dv + dualvar[w] - slot.wt2;
+            if kslack <= 0 {
+                allowedge[k] = true;
+                stop = s;
+                break;
+            }
+            if label[bw] == 1 {
+                if best == NONE || kslack < best_slack {
+                    best = k;
+                    best_slack = kslack;
+                }
+            } else if label[w] == 0 && (bestedge[w] == NONE || kslack < bestslack[w]) {
+                bestedge[w] = k;
+                bestslack[w] = kslack;
+            }
+        }
+        bestedge[bv] = best;
+        bestslack[bv] = best_slack;
+        stop
+    }
+
     /// Main loop: up to `nvertex` augmentation stages.
     fn solve(&mut self) {
         for _ in 0..self.nvertex {
             self.label.iter_mut().for_each(|l| *l = 0);
             self.bestedge.iter_mut().for_each(|e| *e = NONE);
-            for be in &mut self.blossombestedges[self.nvertex..] {
-                *be = None;
+            for be in &mut self.hasbestedges[self.nvertex..] {
+                *be = false;
             }
             self.allowedge.iter_mut().for_each(|a| *a = false);
             self.queue.clear();
@@ -523,47 +756,33 @@ impl Matcher {
                 while !self.queue.is_empty() && !augmented {
                     let v = self.queue.pop().expect("queue non-empty");
                     debug_assert_eq!(self.label[self.inblossom[v]], 1);
-                    for idx_p in 0..self.neighbend[v].len() {
-                        let p = self.neighbend[v][idx_p];
+                    let end = self.adjstart[v + 1];
+                    let mut s = self.adjstart[v];
+                    loop {
+                        s = self.scan_to_allowed(v, s, end);
+                        if s == end {
+                            break;
+                        }
+                        let Slot { p, w, .. } = self.adj[s];
+                        let (p, w) = (p as usize, w as usize);
                         let k = p / 2;
-                        let w = self.endpoint[p];
-                        if self.inblossom[v] == self.inblossom[w] {
-                            continue;
-                        }
-                        let mut kslack = 0;
-                        if !self.allowedge[k] {
-                            kslack = self.slack(k);
-                            if kslack <= 0 {
-                                self.allowedge[k] = true;
-                            }
-                        }
-                        if self.allowedge[k] {
-                            if self.label[self.inblossom[w]] == 0 {
-                                self.assign_label(w, 2, p ^ 1);
-                            } else if self.label[self.inblossom[w]] == 1 {
-                                let base = self.scan_blossom(v, w);
-                                if base != NONE {
-                                    self.add_blossom(base, k);
-                                } else {
-                                    self.augment_matching(k);
-                                    augmented = true;
-                                    break;
-                                }
-                            } else if self.label[w] == 0 {
-                                debug_assert_eq!(self.label[self.inblossom[w]], 2);
-                                self.label[w] = 2;
-                                self.labelend[w] = p ^ 1;
-                            }
+                        if self.label[self.inblossom[w]] == 0 {
+                            self.assign_label(w, 2, p ^ 1);
                         } else if self.label[self.inblossom[w]] == 1 {
-                            let b = self.inblossom[v];
-                            if self.bestedge[b] == NONE || kslack < self.slack(self.bestedge[b]) {
-                                self.bestedge[b] = k;
+                            let base = self.scan_blossom(v, w);
+                            if base != NONE {
+                                self.add_blossom(base, k);
+                            } else {
+                                self.augment_matching(k);
+                                augmented = true;
+                                break;
                             }
-                        } else if self.label[w] == 0
-                            && (self.bestedge[w] == NONE || kslack < self.slack(self.bestedge[w]))
-                        {
-                            self.bestedge[w] = k;
+                        } else if self.label[w] == 0 {
+                            debug_assert_eq!(self.label[self.inblossom[w]], 2);
+                            self.label[w] = 2;
+                            self.labelend[w] = p ^ 1;
                         }
+                        s += 1;
                     }
                 }
                 if augmented {
@@ -636,12 +855,20 @@ impl Matcher {
                         }
                     }
                 }
+                for b in 0..2 * self.nvertex {
+                    if self.bestedge[b] != NONE {
+                        self.bestslack[b] = self.slack(self.bestedge[b]);
+                    }
+                }
 
                 match deltatype {
                     1 => break, // optimum reached
                     2 => {
                         self.allowedge[deltaedge] = true;
-                        let (mut i, j, _) = self.edges[deltaedge];
+                        let (mut i, j) = (
+                            self.endpoint[2 * deltaedge],
+                            self.endpoint[2 * deltaedge + 1],
+                        );
                         if self.label[self.inblossom[i]] == 0 {
                             i = j;
                         }
@@ -650,7 +877,7 @@ impl Matcher {
                     }
                     3 => {
                         self.allowedge[deltaedge] = true;
-                        let (i, _, _) = self.edges[deltaedge];
+                        let i = self.endpoint[2 * deltaedge];
                         debug_assert_eq!(self.label[self.inblossom[i]], 1);
                         self.queue.push(i);
                     }
@@ -688,8 +915,8 @@ impl Matcher {
             return false;
         }
         for k in 0..self.nedge {
-            let (i, j, wt) = self.edges[k];
-            let mut s = self.dualvar[i] + self.dualvar[j] - 2 * wt;
+            let (i, j) = (self.endpoint[2 * k], self.endpoint[2 * k + 1]);
+            let mut s = self.slack(k);
             let chain = |mut b: usize| {
                 let mut list = vec![b];
                 while self.blossomparent[b] != NONE {
@@ -955,6 +1182,53 @@ mod tests {
         let edges = [we(0, 1, -5), we(1, 2, 0), we(2, 3, 7)];
         let mate = max_weight_matching(4, &edges);
         assert_eq!(mate, vec![None, None, Some(3), Some(2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "above blossom::MAX_WEIGHT")]
+    fn weight_above_bound_panics() {
+        max_weight_matching(2, &[we(0, 1, MAX_WEIGHT + 1)]);
+    }
+
+    #[test]
+    fn weights_at_bound_stay_exact() {
+        // The nested S-blossom and T-relabel cases lifted to the bound, so
+        // duals and slacks reach their extremes; in debug builds the
+        // optimality certificate re-checks every slack. (At most 7 edges
+        // keep the brute force's own sums in range.)
+        let cases: [&[(u32, u32, i64)]; 2] = [
+            &[
+                (0, 1, 9),
+                (0, 2, 9),
+                (1, 2, 10),
+                (1, 3, 8),
+                (2, 4, 8),
+                (3, 4, 10),
+                (4, 5, 6),
+            ],
+            &[
+                (0, 1, 9),
+                (0, 2, 8),
+                (1, 2, 10),
+                (0, 3, 5),
+                (3, 4, 4),
+                (0, 5, 3),
+            ],
+        ];
+        for case in cases {
+            let lifted: Vec<WeightedEdge> = case
+                .iter()
+                .map(|&(u, v, w)| we(u, v, MAX_WEIGHT - 10 + w))
+                .collect();
+            let (opt_w, _) = brute_force_max_weight_matching(6, &lifted);
+            assert_eq!(weight_of(6, &lifted), opt_w, "{lifted:?}");
+        }
+        let flat = [
+            we(0, 1, MAX_WEIGHT),
+            we(1, 2, MAX_WEIGHT),
+            we(0, 2, MAX_WEIGHT),
+        ];
+        assert_eq!(weight_of(3, &flat), MAX_WEIGHT);
     }
 
     #[test]

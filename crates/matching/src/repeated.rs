@@ -12,17 +12,19 @@
 //! secures at least `OPT_b / b`, and on skewed datacenter demand it is near
 //! optimal; tests quantify this against brute force.
 
-use crate::blossom::max_weight_matching_pairs;
+use crate::blossom::Matcher;
 use crate::WeightedEdge;
 use dcn_topology::Pair;
 use dcn_util::FxHashSet;
 
 /// Runs `b` rounds of exact maximum-weight matching on the residual edge
 /// set; returns one `Vec<Pair>` per round (the per-switch matchings).
-/// The union is a valid b-matching.
+/// The union is a valid b-matching. One blossom solver serves every round:
+/// each round refills its buffers from that round's residual edges.
 pub fn repeated_mwm_rounds(n: usize, edges: &[WeightedEdge], b: usize) -> Vec<Vec<Pair>> {
     assert!(b >= 1);
     let mut taken: FxHashSet<Pair> = FxHashSet::default();
+    let mut solver = Matcher::default();
     let mut rounds = Vec::with_capacity(b);
     for _ in 0..b {
         let residual: Vec<WeightedEdge> = edges
@@ -34,7 +36,7 @@ pub fn repeated_mwm_rounds(n: usize, edges: &[WeightedEdge], b: usize) -> Vec<Ve
             rounds.push(Vec::new());
             continue;
         }
-        let matched = max_weight_matching_pairs(n, &residual);
+        let matched = solver.matching_pairs(n, &residual);
         for &p in &matched {
             taken.insert(p);
         }
