@@ -1,7 +1,8 @@
 //! Batched vs unbatched hot path: the serve loop (system level via
 //! `simulator::run` at different `SimConfig::batch_size`, and scheduler
 //! level via direct `serve`/`serve_batch` calls) and trace generation
-//! (`RequestSource::fill` vs `next_request`), across batch sizes.
+//! (`RequestSource::fill` vs `next_request`, across batch sizes, for the
+//! Zipf kernel; `fill` for the Facebook Database kernel).
 //!
 //! The headline number backing the batching refactor: R-BMA at degree
 //! b = 12 on the Zipf workload, batched run vs the `batch_size = 1`
@@ -111,7 +112,7 @@ fn serve_inner_batched_vs_unbatched(c: &mut Criterion) {
 
 /// Trace generation as the pipeline consumes it — through the
 /// `Box<dyn RequestSource>` a `TraceSpec` yields: one virtual `fill` per
-/// batch (alias-table sampling with hoisted table/pair borrows) vs one
+/// batch (one `AliasTable::fill` over the pair-valued table) vs one
 /// virtual `next_request` per request. A statically-dispatched
 /// `next_request` loop is included as the dispatch-free floor.
 fn fill_batched_vs_unbatched(c: &mut Criterion) {
@@ -173,6 +174,49 @@ fn fill_batched_vs_unbatched(c: &mut Criterion) {
             },
         );
     }
+    group.finish();
+}
+
+/// Facebook Database generation, the kernel behind every Fig. 1 run, as
+/// the pipeline consumes it: `fill` in chunks of 1,024 through the
+/// `Box<dyn RequestSource>` of a `TraceSpec`. Each request draws a burst
+/// coin, then either a working-set position or a source rack and its
+/// partner from two alias tables.
+fn fill_facebook(c: &mut Criterion) {
+    let spec = dcn_traces::TraceSpec::Facebook {
+        cluster: dcn_traces::FacebookCluster::Database,
+        num_racks: RACKS,
+        len: LEN,
+        seed: 5,
+    };
+    let mut group = c.benchmark_group("batch_fill_facebook");
+    group
+        .sample_size(10)
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(1))
+        .throughput(Throughput::Elements(LEN as u64));
+    group.bench_with_input(
+        BenchmarkId::new("fill_dyn", 1024),
+        &1024,
+        |bench, &batch| {
+            let mut source = spec.source();
+            let mut buf = vec![Pair::new(0, 1); batch];
+            bench.iter(|| {
+                source.reset();
+                let mut acc = 0u64;
+                loop {
+                    let n = source.fill(&mut buf);
+                    for p in &buf[..n] {
+                        acc += p.lo() as u64;
+                    }
+                    if n < buf.len() {
+                        break;
+                    }
+                }
+                black_box(acc)
+            });
+        },
+    );
     group.finish();
 }
 
@@ -364,6 +408,7 @@ criterion_group!(
     serve_inner_batched_vs_unbatched,
     serve_specials_density,
     fill_batched_vs_unbatched,
+    fill_facebook,
     bma_recency_upkeep,
     telemetry_overhead,
     failpoint_overhead

@@ -91,6 +91,12 @@ fn indexed_set_and_alias(c: &mut Criterion) {
             black_box(acc)
         })
     });
+    // Construction of the 100-rack Zipf pair table, built and dropped: a
+    // source's set-up pays it once per table, and `setup_s` sees it.
+    let weights = zipf_weights(4950, 1.2);
+    group.bench_with_input(BenchmarkId::new("alias_build", 4950), &weights, |b, w| {
+        b.iter(|| black_box(AliasTable::new(w)))
+    });
     group.finish();
 }
 

@@ -324,12 +324,18 @@ impl DemandMatrix {
         self.weights[idx] = w;
     }
 
-    /// Adds `w` to the weight of `pair`.
+    /// Adds `w` to the weight of `pair`; the sum must stay finite.
     #[inline]
     pub fn add(&mut self, pair: Pair, w: f64) {
         assert!(w.is_finite() && w >= 0.0, "weights are finite non-negative");
         let idx = self.index(pair);
-        self.weights[idx] += w;
+        let sum = self.weights[idx] + w;
+        assert!(
+            sum.is_finite(),
+            "weight of {pair} overflows f64: {} + {w}",
+            self.weights[idx]
+        );
+        self.weights[idx] = sum;
     }
 
     /// The canonical upper-triangle weight slice (same order as
@@ -342,9 +348,11 @@ impl DemandMatrix {
     /// [`DemandMatrix::weights`]).
     pub fn pair_list(&self) -> Vec<Pair> {
         let n = self.num_racks as u32;
-        (0..n)
-            .flat_map(|i| ((i + 1)..n).map(move |j| Pair::new(i, j)))
-            .collect()
+        let mut pairs = Vec::with_capacity(self.weights.len());
+        for i in 0..n {
+            pairs.extend(((i + 1)..n).map(|j| Pair::new(i, j)));
+        }
+        pairs
     }
 
     /// Iterates `(pair, weight)` over entries with positive weight.
@@ -439,14 +447,16 @@ impl DemandMatrix {
 
     /// Reads a `src,dst,weight` CSV; `num_racks` is inferred as
     /// `max endpoint + 1` unless `racks_hint` provides a larger value.
-    /// Duplicate pair lines accumulate.
+    /// Duplicate pair lines accumulate. A line whose weight makes its cell
+    /// or the matrix total overflow `f64` is `InvalidData`, like a malformed
+    /// one: samplers need a finite total.
     pub fn read_csv<R: Read>(
         input: R,
         name: &str,
         racks_hint: Option<usize>,
     ) -> std::io::Result<Self> {
         let reader = BufReader::new(input);
-        let mut rows: Vec<(u32, u32, f64)> = Vec::new();
+        let mut rows: Vec<(usize, u32, u32, f64)> = Vec::new();
         let mut max_rack = 1u32;
         for (lineno, line) in reader.lines().enumerate() {
             let line = line?;
@@ -483,12 +493,34 @@ impl DemandMatrix {
                 return Err(bad());
             }
             max_rack = max_rack.max(src).max(dst);
-            rows.push((src, dst, weight));
+            rows.push((lineno + 1, src, dst, weight));
         }
         let n = racks_hint.unwrap_or(0).max(max_rack as usize + 1);
         let mut m = Self::new(n, name);
-        for (src, dst, weight) in rows {
-            m.add(Pair::new(src, dst), weight);
+        let overflow = |what: String| std::io::Error::new(std::io::ErrorKind::InvalidData, what);
+        let mut total = 0.0f64;
+        for &(lineno, src, dst, weight) in &rows {
+            let pair = Pair::new(src, dst);
+            if !(m.get(pair) + weight).is_finite() {
+                return Err(overflow(format!(
+                    "demand line {lineno}: the weight of pair {pair} overflows f64"
+                )));
+            }
+            total += weight;
+            if !total.is_finite() {
+                return Err(overflow(format!(
+                    "demand line {lineno}: the matrix total overflows f64"
+                )));
+            }
+            m.add(pair, weight);
+        }
+        // Summed in pair order, as samplers sum it, a total just under the
+        // limit can still round up past it.
+        if !m.total().is_finite() {
+            let last = rows.last().map_or(0, |r| r.0);
+            return Err(overflow(format!(
+                "demand line {last}: the matrix total overflows f64 when summed in pair order"
+            )));
         }
         Ok(m)
     }
@@ -680,6 +712,58 @@ mod tests {
             DemandMatrix::read_csv("src,dst,weight\n0,1,-2\n".as_bytes(), "t", None).is_err(),
             "negative weight"
         );
+    }
+
+    #[test]
+    fn csv_rejects_a_cell_that_overflows() {
+        // Each weight is finite; their sum in one cell is not.
+        let err = DemandMatrix::read_csv("0,1,1e308\n0,1,1e308\n".as_bytes(), "t", None)
+            .expect_err("the cell overflows");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("line 2") && err.to_string().contains("pair"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn csv_rejects_a_total_that_overflows() {
+        // The matrix this used to load held a total of inf, and a trace
+        // sampled from it drew zero-weight pairs two times in three.
+        let text = "src,dst,weight\n0,1,1e308\n2,3,1e308\n";
+        let err = DemandMatrix::read_csv(text.as_bytes(), "t", None).expect_err("total overflows");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("line 3") && err.to_string().contains("total"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn csv_rejects_a_total_that_overflows_in_pair_order() {
+        // In file order, 2^1023 + (2^1023 - 2^971) is exactly f64::MAX and
+        // the last weight rounds away. In pair order, the last weight first
+        // rounds 2^1023 - 2^971 up by 2^970, and adding 2^1023 then lands
+        // on the overflow threshold, which rounds to inf.
+        let (x, y, z) = (
+            2f64.powi(1023),
+            2f64.powi(1023) - 2f64.powi(971),
+            3.0 * 2f64.powi(968),
+        );
+        assert_eq!(x + y + z, f64::MAX);
+        assert_eq!(y + z + x, f64::INFINITY);
+        let text = format!("0,3,{x}\n0,1,{y}\n0,2,{z}\n");
+        let err = DemandMatrix::read_csv(text.as_bytes(), "t", None).expect_err("overflows");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("pair order"), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows f64")]
+    fn add_rejects_a_cell_that_overflows() {
+        let mut m = DemandMatrix::new(3, "t");
+        m.add(Pair::new(0, 1), 1e308);
+        m.add(Pair::new(0, 1), 1e308);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //!   ranking. This mirrors the heavy-tailed traffic matrices measured in
 //!   \[63\] and gives the stable "heavy pairs" that b-matchings exploit.
 //! * **Temporal structure**: a drifting working set. Each request is, with
-//!   probability `p_burst`, a repetition of a recent pair (uniform over an
-//!   LRU working set of size `working_set`); otherwise a fresh sample from
-//!   the spatial base. This produces the bursty arrivals and temporal
+//!   probability `p_burst`, a repetition of a recent pair (uniform over the
+//!   last `working_set` requests); otherwise a fresh sample from the
+//!   spatial base. This produces the bursty arrivals and temporal
 //!   locality that online algorithms exploit and i.i.d. traffic lacks.
 //! * **Hadoop preset** additionally runs *shuffle phases*: periodically a
 //!   small set of pairs becomes hot for a phase (map→reduce traffic),
@@ -25,11 +25,11 @@
 //! length — so arbitrarily long Facebook-like streams fit in constant
 //! memory. The `*_trace` functions materialize it for eager callers.
 
-use crate::sampler::{zipf_weights, AliasTable};
+use crate::sampler::{zipf_weights, AliasTable, Coin};
 use crate::source::{RequestSource, SeededSource, SourceKernel};
 use crate::trace::Trace;
 use dcn_topology::Pair;
-use dcn_util::rngx::{derive_seed, shuffle};
+use dcn_util::rngx::{derive_seed, shuffle, UniformIndex};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
@@ -100,85 +100,127 @@ impl FacebookParams {
     }
 }
 
-/// Bounded LRU set of recent pairs with O(1) membership-refresh and uniform
-/// sampling (ring buffer + recency map; duplicates in the ring are resolved
-/// lazily).
+/// The last `cap` requested pairs (duplicates included), oldest first,
+/// sampled uniformly by position.
+///
+/// A fixed ring: logical position `i` is `ring[(head + i) mod cap]`, where
+/// `head` is the oldest entry, which is exactly how the `VecDeque` it
+/// replaces indexed its window. While the ring fills, `head` is 0 and a
+/// draw is `random_range(0..len)`; once it is full the length is `cap` for
+/// good, and draws go through a [`UniformIndex`] over `0..cap`.
 struct WorkingSet {
-    ring: std::collections::VecDeque<Pair>,
-    cap: usize,
+    ring: Vec<Pair>,
+    head: usize,
+    full: UniformIndex,
 }
 
 impl WorkingSet {
     fn new(cap: usize) -> Self {
         Self {
-            ring: std::collections::VecDeque::with_capacity(cap + 1),
-            cap,
+            ring: Vec::with_capacity(cap),
+            head: 0,
+            full: UniformIndex::new(cap),
         }
     }
 
+    /// Appends `p`, evicting the oldest pair once the ring is full.
     fn push(&mut self, p: Pair) {
-        self.ring.push_back(p);
-        if self.ring.len() > self.cap {
-            self.ring.pop_front();
+        if self.ring.len() < self.full.len() {
+            self.ring.push(p);
+        } else {
+            self.ring[self.head] = p;
+            self.head += 1;
+            if self.head == self.ring.len() {
+                self.head = 0;
+            }
         }
     }
 
     fn sample(&self, rng: &mut SmallRng) -> Option<Pair> {
-        if self.ring.is_empty() {
+        let len = self.ring.len();
+        if len == self.full.len() {
+            let i = self.head + self.full.sample(rng);
+            Some(self.ring[if i >= len { i - len } else { i }])
+        } else if len == 0 {
             None
         } else {
-            Some(self.ring[rng.random_range(0..self.ring.len())])
+            Some(self.ring[rng.random_range(0..len)])
         }
+    }
+
+    fn clear(&mut self) {
+        self.ring.clear();
+        self.head = 0;
     }
 }
 
 /// Kernel of [`facebook_source`]: the Zipf spatial base is frozen at setup,
-/// the working set and phase pairs evolve per request.
+/// the working set and phase pairs evolve per request. The source table
+/// draws a rack, and each rack's partner table draws its partner.
 pub struct FacebookKernel {
     params: FacebookParams,
-    src_perm: Vec<u32>,
-    src_table: AliasTable,
-    dst_tables: Vec<(Vec<u32>, AliasTable)>,
+    src_table: AliasTable<u32>,
+    dst_tables: Vec<AliasTable<u32>>,
     working: WorkingSet,
     phase_hot: Vec<Pair>,
+    p_phase: Coin,
+    p_burst: Coin,
 }
 
 impl FacebookKernel {
+    #[inline]
     fn sample_fresh(&self, rng: &mut SmallRng) -> Pair {
-        let src = self.src_perm[self.src_table.sample(rng) as usize];
-        let (partners, table) = &self.dst_tables[src as usize];
-        let dst = partners[table.sample(rng) as usize];
+        let src = self.src_table.sample(rng);
+        let dst = self.dst_tables[src as usize].sample(rng);
         Pair::new(src, dst)
+    }
+
+    /// Hadoop-style shuffle phases: draws the next phase's hot pairs.
+    #[cold]
+    fn refresh_phase(&mut self, rng: &mut SmallRng) {
+        self.phase_hot.clear();
+        for _ in 0..self.params.phase_pairs {
+            let fresh = self.sample_fresh(rng);
+            self.phase_hot.push(fresh);
+        }
+    }
+
+    /// The request at position `t`. Both `emit` and `emit_batch` run it,
+    /// the latter inline, with the generator state kept in registers
+    /// across the chunk.
+    #[inline(always)]
+    fn step(&mut self, t: usize, rng: &mut SmallRng) -> Pair {
+        if self.params.phase_len > 0 && t.is_multiple_of(self.params.phase_len) {
+            self.refresh_phase(rng);
+        }
+        let pair = if !self.phase_hot.is_empty() && self.p_phase.flip(rng) {
+            self.phase_hot[rng.random_range(0..self.phase_hot.len())]
+        } else if self.p_burst.flip(rng) {
+            match self.working.sample(rng) {
+                Some(p) => p,
+                None => self.sample_fresh(rng),
+            }
+        } else {
+            self.sample_fresh(rng)
+        };
+        self.working.push(pair);
+        pair
     }
 }
 
 impl SourceKernel for FacebookKernel {
     fn emit(&mut self, t: usize, rng: &mut SmallRng) -> Pair {
-        // Hadoop-style shuffle phases: refresh the hot set at phase borders.
-        if self.params.phase_len > 0 && t % self.params.phase_len == 0 {
-            self.phase_hot.clear();
-            for _ in 0..self.params.phase_pairs {
-                let fresh = self.sample_fresh(rng);
-                self.phase_hot.push(fresh);
-            }
+        self.step(t, rng)
+    }
+
+    fn emit_batch(&mut self, t0: usize, out: &mut [Pair], rng: &mut SmallRng) {
+        for (i, slot) in out.iter_mut().enumerate() {
+            *slot = self.step(t0 + i, rng);
         }
-        let pair =
-            if !self.phase_hot.is_empty() && rng.random_range(0.0..1.0f64) < self.params.p_phase {
-                self.phase_hot[rng.random_range(0..self.phase_hot.len())]
-            } else if rng.random_range(0.0..1.0f64) < self.params.p_burst {
-                match self.working.sample(rng) {
-                    Some(p) => p,
-                    None => self.sample_fresh(rng),
-                }
-            } else {
-                self.sample_fresh(rng)
-            };
-        self.working.push(pair);
-        pair
     }
 
     fn reset_state(&mut self) {
-        self.working.ring.clear();
+        self.working.clear();
         self.phase_hot.clear();
     }
 }
@@ -196,26 +238,29 @@ pub fn facebook_source(
     // Spatial base: Zipf-over-permutation source popularity...
     let mut src_perm: Vec<u32> = (0..num_racks as u32).collect();
     shuffle(&mut src_perm, &mut rng);
-    let src_table = AliasTable::new(&zipf_weights(num_racks, params.src_skew));
-    // ...and an independent partner ranking per source.
-    let dst_tables: Vec<(Vec<u32>, AliasTable)> = (0..num_racks)
+    let src_table = AliasTable::with_values(&zipf_weights(num_racks, params.src_skew), &src_perm);
+    // ...and an independent partner ranking per source. Every source ranks
+    // its partners by the same Zipf weights, so one table is built and each
+    // source relabels its ranks with its own shuffled partner list.
+    let ranks = AliasTable::new(&zipf_weights(num_racks - 1, params.dst_skew));
+    let mut partners = Vec::with_capacity(num_racks - 1);
+    let dst_tables = (0..num_racks as u32)
         .map(|s| {
-            let mut partners: Vec<u32> = (0..num_racks as u32).filter(|&v| v != s as u32).collect();
+            partners.clear();
+            partners.extend((0..num_racks as u32).filter(|&v| v != s));
             shuffle(&mut partners, &mut rng);
-            (
-                partners,
-                AliasTable::new(&zipf_weights(num_racks - 1, params.dst_skew)),
-            )
+            ranks.map(|rank| partners[rank as usize])
         })
         .collect();
 
     let kernel = FacebookKernel {
         params,
-        src_perm,
         src_table,
         dst_tables,
         working: WorkingSet::new(params.working_set.max(1)),
         phase_hot: Vec::new(),
+        p_phase: Coin::new(params.p_phase),
+        p_burst: Coin::new(params.p_burst),
     };
     SeededSource::new(kernel, rng, len, num_racks, format!("facebook({params:?})"))
 }

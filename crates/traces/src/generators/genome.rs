@@ -15,6 +15,7 @@
 //! committed, replayable artifact: the regression corpus under
 //! `crates/adversary/corpus/` is exactly these JSON documents.
 
+use crate::generators::all_pairs;
 use crate::sampler::{zipf_weights, AliasTable};
 use crate::source::{RequestSource, SeededSource, SourceKernel};
 use crate::trace::Trace;
@@ -424,10 +425,8 @@ pub enum SegmentKernel {
     },
     /// See [`Segment::ZipfRamp`].
     ZipfRamp {
-        /// Pairs in rank order.
-        pairs: Vec<Pair>,
-        /// One alias table per ramp step.
-        tables: Vec<AliasTable>,
+        /// One alias table per ramp step, over the pairs in rank order.
+        tables: Vec<AliasTable<Pair>>,
         /// Segment length (for the step index).
         len: usize,
     },
@@ -465,9 +464,9 @@ impl SourceKernel for SegmentKernel {
                 }
                 *current
             }
-            SegmentKernel::ZipfRamp { pairs, tables, len } => {
+            SegmentKernel::ZipfRamp { tables, len } => {
                 let step = (t * tables.len() / *len).min(tables.len() - 1);
-                pairs[tables[step].sample(rng) as usize]
+                tables[step].sample(rng)
             }
         }
     }
@@ -551,22 +550,20 @@ fn lower_segment(seg: &Segment, num_racks: usize) -> SeededSource<SegmentKernel>
             seed,
         } => {
             let mut rng = SmallRng::seed_from_u64(derive_seed(seed, 0x6E05));
-            let mut pairs: Vec<Pair> = (0..num_racks as u32)
-                .flat_map(|a| ((a + 1)..num_racks as u32).map(move |b| Pair::new(a, b)))
-                .collect();
+            let mut pairs = all_pairs(num_racks);
             shuffle(&mut pairs, &mut rng);
             let steps = ZIPF_RAMP_STEPS.min(len).max(1);
-            let tables: Vec<AliasTable> = (0..steps)
+            let tables = (0..steps)
                 .map(|k| {
                     // Step k covers positions [k·len/steps, (k+1)·len/steps);
                     // its exponent is the ramp value at the step midpoint.
                     let frac = (k as f64 + 0.5) / steps as f64;
                     let s = s_start + (s_end - s_start) * frac;
-                    AliasTable::new(&zipf_weights(pairs.len(), s))
+                    AliasTable::with_values(&zipf_weights(pairs.len(), s), &pairs)
                 })
                 .collect();
             SeededSource::new(
-                SegmentKernel::ZipfRamp { pairs, tables, len },
+                SegmentKernel::ZipfRamp { tables, len },
                 rng,
                 len,
                 num_racks,

@@ -56,7 +56,7 @@ pub fn microsoft_source(
     seed: u64,
 ) -> SeededSource<MicrosoftKernel> {
     let (pairs, weights) = microsoft_pair_weights(num_racks, params, seed);
-    let kernel = MatrixKernel::from_weighted_pairs(pairs, &weights);
+    let kernel = MatrixKernel::from_weighted_pairs(&pairs, &weights);
     let rng = SmallRng::seed_from_u64(derive_seed(seed, 0x7154));
     SeededSource::new(
         kernel,

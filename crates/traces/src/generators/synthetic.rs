@@ -7,6 +7,7 @@
 //! Each workload is a lazy [`RequestSource`]; the `*_trace` functions are
 //! thin [`RequestSource::materialize`] adapters kept for eager callers.
 
+use crate::generators::all_pairs;
 use crate::sampler::{zipf_weights, AliasTable};
 use crate::source::{RequestSource, SeededSource, SourceKernel};
 use crate::trace::Trace;
@@ -154,22 +155,18 @@ pub fn hotspot_trace(num_racks: usize, len: usize, num_hot: usize, p_hot: f64, s
     hotspot_source(num_racks, len, num_hot, p_hot, seed).materialize()
 }
 
-/// Kernel of [`zipf_pair_source`].
+/// Kernel of [`zipf_pair_source`]: an alias table over the ranked pairs.
 pub struct ZipfKernel {
-    pairs: Vec<Pair>,
-    table: AliasTable,
+    table: AliasTable<Pair>,
 }
 
 impl SourceKernel for ZipfKernel {
     fn emit(&mut self, _t: usize, rng: &mut SmallRng) -> Pair {
-        self.pairs[self.table.sample(rng) as usize]
+        self.table.sample(rng)
     }
 
     fn emit_batch(&mut self, _t0: usize, out: &mut [Pair], rng: &mut SmallRng) {
-        let (pairs, table) = (self.pairs.as_slice(), &self.table);
-        for slot in out.iter_mut() {
-            *slot = pairs[table.sample(rng) as usize];
-        }
+        self.table.fill(rng, out);
     }
 }
 
@@ -184,14 +181,12 @@ pub fn zipf_pair_source(
 ) -> SeededSource<ZipfKernel> {
     assert!(num_racks >= 2);
     let mut rng = SmallRng::seed_from_u64(derive_seed(seed, 0x04));
-    let mut pairs: Vec<Pair> = (0..num_racks as u32)
-        .flat_map(|a| ((a + 1)..num_racks as u32).map(move |b| Pair::new(a, b)))
-        .collect();
+    let mut pairs = all_pairs(num_racks);
     // Random rank assignment.
     shuffle(&mut pairs, &mut rng);
-    let table = AliasTable::new(&zipf_weights(pairs.len(), s));
+    let table = AliasTable::with_values(&zipf_weights(pairs.len(), s), &pairs);
     SeededSource::new(
-        ZipfKernel { pairs, table },
+        ZipfKernel { table },
         rng,
         len,
         num_racks,
