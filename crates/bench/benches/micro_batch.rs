@@ -1,6 +1,7 @@
 //! Batched vs unbatched hot path: the serve loop (system level via
 //! `simulator::run` at different `SimConfig::batch_size`, and scheduler
-//! level via direct `serve`/`serve_batch` calls) and trace generation
+//! level via direct `serve`/`serve_batch` calls, on Zipf and, for BMA, on
+//! the Facebook Database trace) and trace generation
 //! (`RequestSource::fill` vs `next_request`, across batch sizes, for the
 //! Zipf kernel; `fill` for the Facebook Database kernel).
 //!
@@ -108,6 +109,38 @@ fn serve_inner_batched_vs_unbatched(c: &mut Criterion) {
         }
         group.finish();
     }
+}
+
+/// BMA's fused serve loop on the shape Fig. 1's panel (b) runs it: a
+/// materialized Facebook Database trace over 100 racks at α = 10, served
+/// in chunks of 1,024, at the panel's smallest and largest b. In Fig. 1
+/// about 40% of BMA's requests miss the matching (against 15% on the Zipf
+/// standard point), so the miss path (rent counters, buys, LRU evictions)
+/// weighs far more here.
+fn serve_bma_facebook(c: &mut Criterion) {
+    let dm = distances();
+    let requests =
+        dcn_traces::facebook_cluster_trace(dcn_traces::FacebookCluster::Database, RACKS, LEN, 5)
+            .requests;
+    let mut group = c.benchmark_group("batch_serve_bma_facebook");
+    group
+        .sample_size(10)
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(2))
+        .throughput(Throughput::Elements(requests.len() as u64));
+    for b in [6usize, 18] {
+        group.bench_with_input(BenchmarkId::new("batched_b", b), &b, |bench, &b| {
+            bench.iter(|| {
+                let mut s = AlgorithmKind::Bma.build_online(dm.clone(), b, ALPHA, 5);
+                let mut acc = BatchOutcome::default();
+                for chunk in requests.chunks(1024) {
+                    s.serve_batch(chunk, &dm, &mut acc);
+                }
+                black_box(acc)
+            });
+        });
+    }
+    group.finish();
 }
 
 /// Trace generation as the pipeline consumes it — through the
@@ -406,6 +439,7 @@ criterion_group!(
     benches,
     serve_run_batch_sizes,
     serve_inner_batched_vs_unbatched,
+    serve_bma_facebook,
     serve_specials_density,
     fill_batched_vs_unbatched,
     fill_facebook,

@@ -442,16 +442,10 @@ pub fn worst_case_panel() -> SimpleTable {
 /// is the measured win of the batched pipeline. For R-BMA, BMA and
 /// Oblivious the full seeded `RunReport`s are asserted identical across
 /// modes on every row (the batching equivalence contract, live in
-/// production output, not only in tests).
-///
-/// One further live contract per row:
-///
-/// * **BMA recency oracle.** The flat-intrusive-LRU BMA is replayed against
-///   [`dcn_core::algorithms::bma::BmaBTree`] (the historical `BTreeMap`
-///   recency) and the full seeded `RunReport`s — total cost,
-///   reconfiguration count, every checkpoint — are asserted identical; the
-///   reference's throughput and the flat/btree speedup are reported as
-///   columns, so the flattening win ships in the artifact.
+/// production output, not only in tests). BMA's recency oracle
+/// ([`dcn_core::algorithms::bma::BmaBTree`]) is checked against the same
+/// standard point and the corpus in tier-1 tests
+/// (`crates/adversary/tests/bma_oracle.rs`), not here.
 ///
 /// Simulation runs stay strictly sequential (the table reports wall-clock
 /// throughput, and timing runs must not share cores — same rule as the
@@ -515,19 +509,6 @@ pub fn scaling_sweep(
             f64::NAN
         }
     };
-    // The BTreeMap-recency reference BMA, run through the identical config:
-    // the live equivalence oracle plus the before/after throughput point.
-    let run_reference_bma = |spec: &TraceSpec, batch_size: usize| {
-        let mut source = spec.source();
-        let config = dcn_core::SimConfig {
-            seed: 7,
-            trace_name: spec.name(),
-            ..Default::default()
-        }
-        .with_batch_size(batch_size);
-        let mut scheduler = dcn_core::algorithms::bma::BmaBTree::new(Arc::clone(&dm), b, alpha);
-        dcn_core::run(&mut scheduler, &dm, alpha, source.as_mut(), &config)
-    };
     let batched = dcn_core::simulator::DEFAULT_BATCH_SIZE;
     let mut rows = Vec::new();
     // Denominator of the footer's specials share: every R-BMA run's
@@ -549,10 +530,6 @@ pub fn scaling_sweep(
         let oblivious = run_streamed(&spec, &AlgorithmKind::Oblivious, batched);
         let rbma_unbatched = run_streamed(&spec, &rbma_kind, 1);
         rbma_requests += rbma.total.requests * 2;
-        // Flat-LRU BMA vs the BTreeMap reference: every seeded report field
-        // must match, live in the production target, not only in tests.
-        let bma_btree = run_reference_bma(&spec, batched);
-        assert_reports_equal(&bma, &bma_btree, "BMA flat-LRU vs BTreeMap recency");
         // Batched ≡ per-request, live, on every seeded report field.
         assert_reports_equal(&rbma, &rbma_unbatched, "R-BMA batched vs per-request");
         for (batched_report, algorithm) in [
@@ -568,8 +545,6 @@ pub fn scaling_sweep(
         }
         let fast = throughput(&rbma);
         let slow = throughput(&rbma_unbatched);
-        let bma_fast = throughput(&bma);
-        let bma_btree_tp = throughput(&bma_btree);
         rows.push((
             format!("{len} requests"),
             vec![
@@ -577,9 +552,7 @@ pub fn scaling_sweep(
                 bma.total.total_cost() as f64,
                 oblivious.total.routing_cost as f64,
                 fast,
-                bma_fast,
-                bma_btree_tp,
-                bma_fast / bma_btree_tp,
+                throughput(&bma),
                 slow,
                 fast / slow,
             ],
@@ -620,24 +593,9 @@ pub fn scaling_sweep(
         let oblivious = run_adv(&AlgorithmKind::Oblivious, batched);
         let rbma_unbatched = run_adv(&rbma_kind, 1);
         rbma_requests += rbma.total.requests * 2;
-        let bma_btree = {
-            let config = dcn_core::SimConfig {
-                seed: entry.algo_seed,
-                trace_name: trace.name.clone(),
-                ..Default::default()
-            }
-            .with_batch_size(batched);
-            let mut scheduler =
-                dcn_core::algorithms::bma::BmaBTree::new(Arc::clone(&adm), entry.b, entry.alpha);
-            dcn_core::run(&mut scheduler, &adm, entry.alpha, &trace.requests, &config)
-        };
-        let ctx = format!("worst-case {name}");
-        assert_reports_equal(&rbma, &rbma_unbatched, &ctx);
-        assert_reports_equal(&bma, &bma_btree, &ctx);
+        assert_reports_equal(&rbma, &rbma_unbatched, &format!("worst-case {name}"));
         let fast = throughput(&rbma);
         let slow = throughput(&rbma_unbatched);
-        let bma_fast = throughput(&bma);
-        let bma_btree_tp = throughput(&bma_btree);
         rows.push((
             format!("worst-case {name}"),
             vec![
@@ -645,9 +603,7 @@ pub fn scaling_sweep(
                 bma.total.total_cost() as f64,
                 oblivious.total.routing_cost as f64,
                 fast,
-                bma_fast,
-                bma_btree_tp,
-                bma_fast / bma_btree_tp,
+                throughput(&bma),
                 slow,
                 fast / slow,
             ],
@@ -672,8 +628,6 @@ pub fn scaling_sweep(
             "Oblivious routing".into(),
             "R-BMA Mreq/s".into(),
             "BMA Mreq/s".into(),
-            "BMA Mreq/s (btree recency)".into(),
-            "BMA recency speedup".into(),
             "R-BMA Mreq/s (batch=1)".into(),
             "batch speedup".into(),
         ],
@@ -1012,7 +966,7 @@ mod tests {
         assert!(corpus >= 3, "committed corpus should seed the panel");
         let (t, specials_share) = scaling_sweep(&[2_000, 4_000], 1, ShardSpec::full());
         assert_eq!(t.rows.len(), 2 + corpus);
-        assert_eq!(t.columns.len(), 9);
+        assert_eq!(t.columns.len(), 7);
         // The footer share is a real measurement when telemetry is
         // compiled in (the standard point sits near 30% specials; the
         // corpus rows pull the mix around, so just bound it).
@@ -1027,12 +981,11 @@ mod tests {
             // Online totals are bounded by the oblivious upper envelope plus
             // reconfiguration spend; all must be positive.
             assert!(v[0] > 0.0 && v[1] > 0.0 && v[2] > 0.0, "{label}: {v:?}");
-            // Batched/per-request and flat/btree throughputs and their
-            // ratios are real measurements (full report equality is
-            // asserted between the paths inside the sweep).
-            assert!(v[3] > 0.0 && v[5] > 0.0 && v[7] > 0.0, "{label}: {v:?}");
+            // Batched and per-request throughputs and their ratio are real
+            // measurements (full report equality is asserted between the
+            // paths inside the sweep).
+            assert!(v[3] > 0.0 && v[5] > 0.0, "{label}: {v:?}");
             assert!(v[6].is_finite() && v[6] > 0.0, "{label}: {v:?}");
-            assert!(v[8].is_finite() && v[8] > 0.0, "{label}: {v:?}");
         }
         // Twice the requests ⇒ roughly twice the oblivious routing cost.
         let ratio = t.rows[1].1[2] / t.rows[0].1[2];

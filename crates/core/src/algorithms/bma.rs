@@ -21,30 +21,78 @@
 //! single counter bump. This per-hit upkeep — inherent to deterministic
 //! recency-based eviction — is what makes BMA slower per request and more
 //! sensitive to `b` than R-BMA, the effect §3.2 reports. The upkeep itself
-//! is now O(1): the recency index is a flat intrusive LRU threaded through
+//! is O(1): the recency index is a flat intrusive LRU threaded through
 //! the matching's fixed-stride adjacency
-//! ([`dcn_matching::recency::LruBMatching`] — a hit is two list splices,
-//! eviction a head read), replacing the per-rack `BTreeMap` whose O(log b)
-//! rebalancing used to dominate BMA's hit path. The algorithm is generic
-//! over the index ([`BmaWith`]); [`BmaBTree`] instantiates it over the
-//! historical B-tree structure as the equivalence oracle — same victims,
-//! same reports, pinned by tests and asserted live by the `scaling` target.
+//! ([`dcn_matching::recency::LruBMatching`] — a hit is one pair-table load
+//! plus two list splices, eviction a head read), and the rent counters are
+//! a [`PairTable`], so a miss is one load plus an add. The algorithm is
+//! generic over both stores ([`BmaWith`]); [`BmaBTree`] instantiates it over
+//! the historical per-rack `BTreeMap` recency and hashed counters as the
+//! equivalence oracle, sharing no store with [`Bma`] — same victims, same
+//! reports, pinned by tests (`batch_equivalence.rs` and `bma_oracle.rs`).
 
 use crate::scheduler::{BatchOutcome, OnlineScheduler, ServeOutcome};
 use dcn_matching::{BMatching, BTreeRecencyMatching, LruBMatching, RecencyMatching};
 use dcn_telemetry::{Counter, Telemetry};
-use dcn_topology::{DistanceMatrix, NodeId, Pair};
+use dcn_topology::{DistanceMatrix, NodeId, Pair, PairTable};
 use dcn_util::FxHashMap;
 use std::sync::Arc;
 
+/// Per-pair rent counters: the fixed-network cost each unmatched pair has
+/// accumulated toward the buy threshold.
+pub trait RentCounters {
+    /// Empty counters over `n` racks.
+    fn new(n: usize) -> Self;
+
+    /// Adds `cost` to `pair`'s counter and returns the new total.
+    fn add(&mut self, pair: Pair, cost: u64) -> u64;
+
+    /// Resets `pair`'s counter to zero.
+    fn reset(&mut self, pair: Pair);
+}
+
+impl RentCounters for PairTable<u64> {
+    fn new(n: usize) -> Self {
+        PairTable::new(n)
+    }
+
+    #[inline]
+    fn add(&mut self, pair: Pair, cost: u64) -> u64 {
+        let counter = self.get_mut(pair);
+        *counter += cost;
+        *counter
+    }
+
+    #[inline]
+    fn reset(&mut self, pair: Pair) {
+        self.set(pair, 0);
+    }
+}
+
+impl RentCounters for FxHashMap<Pair, u64> {
+    fn new(_n: usize) -> Self {
+        FxHashMap::default()
+    }
+
+    fn add(&mut self, pair: Pair, cost: u64) -> u64 {
+        let counter = self.entry(pair).or_insert(0);
+        *counter += cost;
+        *counter
+    }
+
+    fn reset(&mut self, pair: Pair) {
+        self.remove(&pair);
+    }
+}
+
 /// Deterministic rent-or-buy online b-matching over a pluggable recency
-/// index. Use [`Bma`] (flat intrusive LRU) in production; [`BmaBTree`] is
-/// the reference oracle.
-pub struct BmaWith<M: RecencyMatching> {
+/// index and counter store. Use [`Bma`] in production; [`BmaBTree`] is the
+/// reference oracle.
+pub struct BmaWith<M: RecencyMatching, C: RentCounters> {
     dm: Arc<DistanceMatrix>,
     alpha: u64,
     /// Accumulated fixed-network cost per unmatched pair.
-    counters: FxHashMap<Pair, u64>,
+    counters: C,
     /// Matching + per-endpoint recency (LRU victim selection).
     index: M,
     /// Local event recorders, drained by `telemetry_flush` (hits are bulk
@@ -66,16 +114,18 @@ struct BmaStats {
     evictions: Counter,
 }
 
-/// BMA over the flat intrusive LRU — the production instantiation.
-pub type Bma = BmaWith<LruBMatching>;
+/// BMA over the flat intrusive LRU and pair-table counters — the
+/// production instantiation.
+pub type Bma = BmaWith<LruBMatching, PairTable<u64>>;
 
-/// BMA over the historical per-rack `BTreeMap` recency — the reference
-/// oracle the flat instantiation is required to match decision for
-/// decision (same victims, byte-identical seeded `RunReport`s). Reports
-/// under the same `"BMA"` name so reports compare equal field by field.
-pub type BmaBTree = BmaWith<BTreeRecencyMatching>;
+/// BMA over the historical per-rack `BTreeMap` recency and `FxHashMap`
+/// counters — the reference oracle the flat instantiation is required to
+/// match decision for decision (same victims, byte-identical seeded
+/// `RunReport`s). Reports under the same `"BMA"` name so reports compare
+/// equal field by field.
+pub type BmaBTree = BmaWith<BTreeRecencyMatching, FxHashMap<Pair, u64>>;
 
-impl<M: RecencyMatching> BmaWith<M> {
+impl<M: RecencyMatching, C: RentCounters> BmaWith<M, C> {
     /// Creates BMA with degree cap `b` and reconfiguration cost `alpha`.
     pub fn new(dm: Arc<DistanceMatrix>, b: usize, alpha: u64) -> Self {
         assert!(alpha >= 1, "alpha must be at least 1");
@@ -83,7 +133,7 @@ impl<M: RecencyMatching> BmaWith<M> {
         Self {
             dm,
             alpha,
-            counters: FxHashMap::default(),
+            counters: C::new(n),
             index: M::new(n, b),
             stats: BmaStats::default(),
         }
@@ -93,12 +143,10 @@ impl<M: RecencyMatching> BmaWith<M> {
     /// Returns `(added, removed)`.
     #[inline]
     fn serve_miss(&mut self, pair: Pair, ell: u64) -> (u32, u32) {
-        let counter = self.counters.entry(pair).or_insert(0);
-        *counter += ell;
-        if *counter < self.alpha {
+        if self.counters.add(pair, ell) < self.alpha {
             return (0, 0);
         }
-        self.counters.remove(&pair);
+        self.counters.reset(pair);
         self.stats.buys.bump();
 
         // Buy the edge; make room deterministically.
@@ -120,12 +168,12 @@ impl<M: RecencyMatching> BmaWith<M> {
             .lru_edge(node)
             .expect("eviction requested at a node with no matching edges");
         self.index.remove(victim);
-        self.counters.remove(&victim);
+        self.counters.reset(victim);
         self.stats.evictions.bump();
     }
 }
 
-impl<M: RecencyMatching> OnlineScheduler for BmaWith<M> {
+impl<M: RecencyMatching, C: RentCounters> OnlineScheduler for BmaWith<M, C> {
     fn name(&self) -> &str {
         "BMA"
     }
@@ -136,8 +184,8 @@ impl<M: RecencyMatching> OnlineScheduler for BmaWith<M> {
 
     fn serve(&mut self, pair: Pair) -> ServeOutcome {
         // The membership check and the recency refresh are one fused
-        // operation (on the flat index, the membership scan already locates
-        // the intrusive list node).
+        // operation (on the flat index, the membership probe already
+        // locates the intrusive list nodes).
         if self.index.touch_hit(pair) {
             self.stats.hits.bump();
             self.stats.splices.bump();

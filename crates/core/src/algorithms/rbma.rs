@@ -25,29 +25,27 @@
 //! figures rest on): the per-rack caches are [`DenseMarking`] — flat
 //! index-addressed marking over the rack universe, allocation-free accesses,
 //! draw-for-draw identical to the generic `Marking` — and the Theorem-1
-//! counters cache `k_e` alongside the count in a flat pair-indexed array
-//! (`DenseCounters`), so the common (ordinary-request) path is one bit
-//! probe of the flat matching mirror plus one indexed counter bump, with
-//! no division and no hash traffic. The batched entry point
-//! ([`OnlineScheduler::serve_batch`]) is that path as one fused loop with
-//! inline routing accounting; only special requests drop into the
+//! counters cache `k_e` alongside the count in a [`PairTable`] (a flat
+//! pair-indexed array at paper scale), so the common (ordinary-request)
+//! path is one bit probe of the flat matching mirror plus one indexed
+//! counter bump, with no division and no hash traffic. The batched entry
+//! point ([`OnlineScheduler::serve_batch`]) is that path as one fused loop
+//! with inline routing accounting; only special requests drop into the
 //! Theorem-2 slow path, and a matched, unmarked special skips even that
 //! (both cache touches are known hits). Above [`DENSE_RACK_LIMIT`] racks
 //! the flat stores fall back to hash containers, with identical results.
+//!
+//! [`DENSE_RACK_LIMIT`]: dcn_topology::pair::DENSE_RACK_LIMIT
 
 use crate::scheduler::{BatchOutcome, OnlineScheduler, ServeOutcome};
 use dcn_matching::BMatching;
 use dcn_paging::{DenseAccess, DenseMarking};
 use dcn_telemetry::{Counter, Telemetry};
-use dcn_topology::{DistanceMatrix, NodeId, Pair};
+use dcn_topology::pair::dense_pair_ids;
+use dcn_topology::{DistanceMatrix, NodeId, Pair, PairTable};
 use dcn_util::rngx::derive_seed;
-use dcn_util::{FxHashMap, FxHashSet};
+use dcn_util::FxHashSet;
 use std::sync::Arc;
-
-/// Above this rack count R-BMA's flat n²-slot pair stores (Theorem-1
-/// counters, matching mirror, lazy marks) are not worth their memory
-/// (8 MiB of counters at the limit) and fall back to hash containers.
-pub const DENSE_RACK_LIMIT: usize = 1024;
 
 /// How evictions from the per-node caches translate to matching removals.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,8 +59,9 @@ pub enum RemovalMode {
 
 /// Per-pair Theorem-1 state: requests seen since the last special request,
 /// plus the cached period `k_e = ⌈α/ℓ_e⌉` (constant per pair, so the hot
-/// loop never divides).
-#[derive(Clone, Copy, Debug)]
+/// loop never divides). Real periods are ≥ 1, so the all-zero default is
+/// the table's "never seen".
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 struct SpecialCounter {
     count: u32,
     k: u32,
@@ -74,7 +73,7 @@ pub struct Rbma {
     alpha: u64,
     mode: RemovalMode,
     /// Per-pair counter toward the next special request (Theorem 1).
-    counters: DenseCounters,
+    counters: PairTable<SpecialCounter>,
     /// Per-rack randomized marking caches (Theorem 2). Page ids are the
     /// partner rack ids — a dense universe, hence the flat layout.
     caches: Vec<DenseMarking>,
@@ -86,6 +85,8 @@ pub struct Rbma {
     matched_set: DensePairSet,
     /// Lazy mode: edges marked for removal but still carried in `M`
     /// (dense bitmap up to [`DENSE_RACK_LIMIT`] racks, hash set beyond).
+    ///
+    /// [`DENSE_RACK_LIMIT`]: dcn_topology::pair::DENSE_RACK_LIMIT
     marked: DensePairSet,
     /// Local event recorders, drained by `telemetry_flush` (only the
     /// rare slow paths pay a bump; ordinary requests record nothing).
@@ -107,6 +108,8 @@ struct RbmaStats {
 
 impl Rbma {
     /// Creates R-BMA with degree cap `b` and reconfiguration cost `alpha`.
+    /// Panics unless `1 ≤ alpha ≤ u32::MAX`, the range in which every
+    /// special-request period `k_e ≤ α` fits its `u32` counter.
     pub fn new(
         dm: Arc<DistanceMatrix>,
         b: usize,
@@ -115,6 +118,10 @@ impl Rbma {
         seed: u64,
     ) -> Self {
         assert!(alpha >= 1, "alpha must be at least 1");
+        assert!(
+            alpha <= u32::MAX as u64,
+            "alpha = {alpha} exceeds u32::MAX, the largest special-request period R-BMA counts to"
+        );
         let n = dm.num_racks();
         let caches = (0..n)
             .map(|v| DenseMarking::new(b, n, derive_seed(seed, v as u64)))
@@ -123,7 +130,7 @@ impl Rbma {
             dm,
             alpha,
             mode,
-            counters: DenseCounters::new(n),
+            counters: PairTable::new(n),
             caches,
             matching: BMatching::new(n, b),
             matched_set: DensePairSet::new(n),
@@ -132,40 +139,43 @@ impl Rbma {
         }
     }
 
-    /// `k_e = ⌈α/ℓ_e⌉` — the special-request period of a pair.
+    /// `k_e = ⌈α/ℓ_e⌉` — the special-request period of a pair (at most α,
+    /// which [`Rbma::new`] bounds by `u32::MAX`).
     #[inline]
     fn k_e(&self, pair: Pair) -> u32 {
         let ell = self.dm.ell(pair).max(1) as u64;
-        self.alpha.div_ceil(ell) as u32
+        u32::try_from(self.alpha.div_ceil(ell)).expect("Rbma::new bounds alpha by u32::MAX")
     }
 
     /// Advances `pair`'s Theorem-1 counter; returns whether this request is
     /// special. The period is computed once per pair and cached.
     #[inline]
     fn bump_counter(&mut self, pair: Pair) -> bool {
-        match self.counters.get_mut(pair) {
-            Some(c) => {
-                c.count += 1;
-                if c.count >= c.k {
-                    c.count = 0;
-                    true
-                } else {
-                    false
-                }
-            }
-            None => {
-                let k = self.k_e(pair);
-                let special = k <= 1;
-                self.counters.insert(
-                    pair,
-                    SpecialCounter {
-                        count: if special { 0 } else { 1 },
-                        k,
-                    },
-                );
-                special
-            }
+        let c = self.counters.get_mut(pair);
+        if c.k == 0 {
+            return self.first_request(pair);
         }
+        c.count += 1;
+        if c.count >= c.k {
+            c.count = 0;
+            true
+        } else {
+            false
+        }
+    }
+
+    /// [`Rbma::bump_counter`] for a pair's first request: caches `k_e`.
+    /// Out of line, so the per-request path stays a few instructions.
+    #[cold]
+    #[inline(never)]
+    fn first_request(&mut self, pair: Pair) -> bool {
+        let k = self.k_e(pair);
+        let special = k <= 1;
+        *self.counters.get_mut(pair) = SpecialCounter {
+            count: if special { 0 } else { 1 },
+            k,
+        };
+        special
     }
 
     /// Applies one endpoint's cache update for a special request; returns
@@ -294,6 +304,8 @@ impl Rbma {
 /// per-eviction "is the victim edge matched?" test and the unbatched
 /// entry probe skip [`BMatching`]'s bounded adjacency scan). `len` is
 /// tracked so [`Rbma::marked_count`] stays O(1).
+///
+/// [`DENSE_RACK_LIMIT`]: dcn_topology::pair::DENSE_RACK_LIMIT
 struct DensePairSet {
     /// Rack count of the dense id space; 0 = hash representation.
     n: usize,
@@ -306,7 +318,7 @@ struct DensePairSet {
 
 impl DensePairSet {
     fn new(n: usize) -> Self {
-        let dense = n > 0 && n <= DENSE_RACK_LIMIT;
+        let dense = dense_pair_ids(n);
         Self {
             n: if dense { n } else { 0 },
             len: 0,
@@ -372,67 +384,6 @@ impl DensePairSet {
 
     fn len(&self) -> usize {
         self.len
-    }
-}
-
-/// Theorem-1 counter store. Up to [`DENSE_RACK_LIMIT`] racks it is a
-/// flat pair-id-indexed array — `bump_counter` becomes one indexed load
-/// instead of a hash probe, which is most of the per-request budget on
-/// specials-heavy traces — with `k == 0` marking a never-seen slot (real
-/// periods are ≥ 1). Beyond the limit it falls back to a hash map. The
-/// flat array (8 B × n², ≤ 8 MiB at the limit) allocates on first insert.
-#[derive(Default)]
-struct DenseCounters {
-    /// Rack count of the dense id space; 0 = hash representation.
-    n: usize,
-    /// Flat pair-id-indexed slots (`k == 0` ⇒ never seen).
-    slots: Vec<SpecialCounter>,
-    /// Fallback representation above [`DENSE_RACK_LIMIT`].
-    hash: FxHashMap<Pair, SpecialCounter>,
-}
-
-impl DenseCounters {
-    fn new(n: usize) -> Self {
-        if n > 0 && n <= DENSE_RACK_LIMIT {
-            Self {
-                n,
-                ..Self::default()
-            }
-        } else {
-            Self::default()
-        }
-    }
-
-    #[inline]
-    fn id(&self, pair: Pair) -> usize {
-        pair.lo() as usize * self.n + pair.hi() as usize
-    }
-
-    #[inline]
-    fn get_mut(&mut self, pair: Pair) -> Option<&mut SpecialCounter> {
-        if self.n != 0 {
-            let id = self.id(pair);
-            // `get_mut` handles the not-yet-allocated (empty) array too.
-            match self.slots.get_mut(id) {
-                Some(c) if c.k != 0 => Some(c),
-                _ => None,
-            }
-        } else {
-            self.hash.get_mut(&pair)
-        }
-    }
-
-    fn insert(&mut self, pair: Pair, c: SpecialCounter) {
-        debug_assert!(c.k >= 1, "period 0 is the empty-slot sentinel");
-        if self.n != 0 {
-            if self.slots.is_empty() {
-                self.slots = vec![SpecialCounter { count: 0, k: 0 }; self.n * self.n];
-            }
-            let id = self.id(pair);
-            self.slots[id] = c;
-        } else {
-            self.hash.insert(pair, c);
-        }
     }
 }
 
@@ -559,6 +510,26 @@ mod tests {
             assert_eq!(r.serve(same_pod).added, 0);
         }
         assert_eq!(r.serve(same_pod).added, 1, "4th request is special");
+    }
+
+    #[test]
+    #[should_panic(expected = "alpha = 4294967300 exceeds u32::MAX")]
+    fn alpha_beyond_u32_is_rejected() {
+        // ℓ = 1 makes k_e = α, which a u32 period would truncate to 4.
+        let mut r = Rbma::new(uniform_dm(4), 1, (1 << 32) + 4, RemovalMode::Lazy, 0);
+        for _ in 0..8 {
+            assert_eq!(r.serve(Pair::new(0, 1)).added, 0);
+        }
+    }
+
+    #[test]
+    fn alpha_at_u32_max_counts_its_full_period() {
+        let mut r = Rbma::new(uniform_dm(4), 1, u32::MAX as u64, RemovalMode::Lazy, 0);
+        for _ in 0..8 {
+            let out = r.serve(Pair::new(0, 1));
+            assert_eq!((out.added, out.removed), (0, 0));
+        }
+        assert!(r.matching().is_empty());
     }
 
     #[test]

@@ -11,16 +11,18 @@
 //! check that specials fired), checkpoints that land inside batches,
 //! verification boundaries coprime to the batch size, rotor rotation
 //! boundaries inside chunks, BMA against its `BmaBTree` oracle, and R-BMA
-//! above `DENSE_RACK_LIMIT` racks, where its stores fall back to hashing.
+//! and BMA above `DENSE_RACK_LIMIT` racks, where their pair tables and
+//! pair sets fall back to hashing.
 
 use dcn_core::algorithms::bma::{Bma, BmaBTree};
 use dcn_core::algorithms::oblivious::Oblivious;
 use dcn_core::algorithms::periodic::PeriodicRebuild;
-use dcn_core::algorithms::rbma::{Rbma, RemovalMode, DENSE_RACK_LIMIT};
+use dcn_core::algorithms::rbma::{Rbma, RemovalMode};
 use dcn_core::algorithms::rotor::Rotor;
 use dcn_core::scheduler::BatchOutcome;
 use dcn_core::{run, OnlineScheduler, RunReport, ServeOutcome, SimConfig};
 use dcn_matching::BMatching;
+use dcn_topology::pair::DENSE_RACK_LIMIT;
 use dcn_topology::{builders, DistanceMatrix, Pair};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -359,8 +361,9 @@ fn pinned_specials_heavy_corners() {
 }
 
 /// Above `DENSE_RACK_LIMIT` racks R-BMA's counter store, matching mirror
-/// and marked set are hash containers. Batched serving there must still
-/// equal the per-request reference, keep the degree bound at every
+/// and marked set, and BMA's slot and counter tables, are hash containers.
+/// Batched serving there must still equal the per-request reference (for
+/// BMA, its `BmaBTree` oracle), keep the degree bound at every
 /// verification point, and actually reconfigure.
 #[test]
 fn rbma_beyond_dense_rack_limit_matches_the_reference() {
@@ -372,7 +375,7 @@ fn rbma_beyond_dense_rack_limit_matches_the_reference() {
     let alpha = 2;
     for case in cases(&dm, 2, alpha)
         .iter()
-        .filter(|c| c.name.starts_with("rbma"))
+        .filter(|c| c.name.starts_with("rbma") || c.name == "bma-vs-btree")
     {
         let reference = check_case(
             case,

@@ -96,16 +96,6 @@ impl BMatching {
         self.block(pair.lo()).contains(&pair)
     }
 
-    /// Position of `pair` inside `v`'s adjacency block, if present — the
-    /// same bounded scan as [`BMatching::contains`], but returning the slot
-    /// index so overlays aligned to the fixed-stride layout (the intrusive
-    /// recency lists of [`crate::recency::LruBMatching`]) can address their
-    /// per-slot state without a second lookup structure.
-    #[inline]
-    pub fn position(&self, v: NodeId, pair: Pair) -> Option<usize> {
-        self.block(v).iter().position(|&e| e == pair)
-    }
-
     /// Current number of matching edges incident to `v`.
     #[inline]
     pub fn degree(&self, v: NodeId) -> usize {

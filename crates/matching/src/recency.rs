@@ -8,10 +8,10 @@
 //!   A slab of list nodes with `prev`/`next` slot indices is threaded
 //!   per-endpoint through the *same fixed-stride adjacency layout*
 //!   [`BMatching`] already owns (edge at position `i` of rack `v`'s block
-//!   occupies slot `v·b + i`), so finding an edge's list node is the same
-//!   bounded block scan that membership already pays — no hashing, no
-//!   allocation, no tree. A hit is two O(1) list splices; the eviction
-//!   victim is a head read.
+//!   occupies slot `v·b + i`), and a [`PairTable`] keyed by pair id names
+//!   each matched edge's two slots, so membership and the list-node lookup
+//!   are one load — no block scan, no allocation, no tree. A hit is that
+//!   load plus two O(1) list splices; the eviction victim is a head read.
 //! * [`BTreeRecencyMatching`] — the historical structure (one
 //!   `BTreeMap<stamp, Pair>` per rack plus a `stamp → pair` map), kept as
 //!   the **reference oracle**: the equivalence proptests replay both side
@@ -36,7 +36,7 @@
 //! is the only recency consumer, and it rides [`LruBMatching`].
 
 use crate::BMatching;
-use dcn_topology::{NodeId, Pair};
+use dcn_topology::{NodeId, Pair, PairTable};
 use dcn_util::FxHashMap;
 use std::collections::BTreeMap;
 
@@ -46,16 +46,7 @@ const NIL: u32 = u32::MAX;
 /// A degree-capped matching with per-endpoint LRU recency over its incident
 /// edges. The one contract BMA needs: membership-with-touch, MRU insertion,
 /// removal, and the per-endpoint LRU victim.
-///
-/// `Sync` is a supertrait because BMA's bucketed serve pass shares the
-/// index immutably with its (possibly sharded) chunk-preprocessing scan;
-/// both implementations here are plain owned data and qualify. Mutation
-/// stays single-threaded — and the bucketed pass *defers* hit touches,
-/// splicing each pair once per flush interval at its last-occurrence
-/// position instead of once per hit, which is observation-equivalent
-/// because recency is only read at buy/eviction points (immediately after
-/// a flush) and only the per-endpoint last-touch *order* decides victims.
-pub trait RecencyMatching: Sync {
+pub trait RecencyMatching {
     /// Empty structure over `n` racks with degree cap `b`.
     fn new(n: usize, b: usize) -> Self;
 
@@ -86,9 +77,11 @@ pub trait RecencyMatching: Sync {
 ///
 /// Layout: edge at position `i` of rack `v`'s adjacency block owns list
 /// slot `v·b + i` in the `prev`/`next` slabs; `head[v]`/`tail[v]` bound
-/// rack `v`'s list (head = LRU victim, tail = MRU). [`BMatching`]'s
-/// swap-remove (last block entry fills the hole) is mirrored by relabeling
-/// the moved edge's list node, so slots always track block positions.
+/// rack `v`'s list (head = LRU victim, tail = MRU). A [`PairTable`] maps
+/// each matched edge to its slots at both endpoints, so finding an edge's
+/// list nodes is one load. [`BMatching`]'s swap-remove (last block entry
+/// fills the hole) is mirrored by relabeling the moved edge's list node
+/// and rewriting its table entry, so slots always track block positions.
 ///
 /// ```
 /// use dcn_matching::recency::{LruBMatching, RecencyMatching};
@@ -111,6 +104,10 @@ pub struct LruBMatching {
     head: Vec<u32>,
     /// Newest (MRU) slot per rack.
     tail: Vec<u32>,
+    /// Each matched edge's list slots at its `lo` and `hi` endpoint, each
+    /// stored plus one so that a present entry is never the table's
+    /// all-zero "absent"; unmatched pairs have no entry.
+    slots: PairTable<[u32; 2]>,
 }
 
 impl LruBMatching {
@@ -169,11 +166,25 @@ impl LruBMatching {
     }
 
     /// Exhaustive consistency check (tests/debug): list membership equals
-    /// block membership, orders are walkable from both ends, and the
-    /// underlying matching invariant holds.
+    /// block membership, orders are walkable from both ends, the pair
+    /// table names every matched edge's two slots and holds no other
+    /// pair, and the underlying matching invariant holds.
     pub fn assert_valid(&self) {
         self.matching.assert_valid();
+        for (pair, _) in self.slots.iter() {
+            assert!(
+                self.matching.contains(pair),
+                "unmatched pair {pair} has a pair-table entry"
+            );
+        }
         for v in 0..self.matching.num_racks() as NodeId {
+            for (pos, &e) in self.matching.incident_edges(v).iter().enumerate() {
+                assert_eq!(
+                    self.slots.get(e)[(v == e.hi()) as usize],
+                    self.slot(v, pos) + 1,
+                    "pair-table slot of {e} at {v} out of sync"
+                );
+            }
             let d = self.matching.degree(v);
             let base = v as usize * self.matching.cap();
             let mut seen = vec![false; d];
@@ -212,6 +223,7 @@ impl RecencyMatching for LruBMatching {
             next: vec![NIL; n * b],
             head: vec![NIL; n],
             tail: vec![NIL; n],
+            slots: PairTable::new(n),
         }
     }
 
@@ -222,18 +234,12 @@ impl RecencyMatching for LruBMatching {
 
     #[inline]
     fn touch_hit(&mut self, pair: Pair) -> bool {
-        let (u, w) = pair.endpoints();
-        // The membership scan *is* the list-node lookup: position in the
-        // block addresses the intrusive slot directly.
-        let Some(pu) = self.matching.position(u, pair) else {
+        // The membership probe *is* the list-node lookup.
+        let [lo_slot, hi_slot] = self.slots.get(pair);
+        if lo_slot == 0 {
             return false;
-        };
-        let pw = self
-            .matching
-            .position(w, pair)
-            .expect("adjacency blocks out of sync");
-        for (v, pos) in [(u, pu), (w, pw)] {
-            let slot = self.slot(v, pos);
+        }
+        for (v, slot) in [(pair.lo(), lo_slot - 1), (pair.hi(), hi_slot - 1)] {
             if self.tail[v as usize] != slot {
                 self.unlink(v, slot);
                 self.push_mru(v, slot);
@@ -245,33 +251,38 @@ impl RecencyMatching for LruBMatching {
     fn insert_mru(&mut self, pair: Pair) {
         let (u, w) = pair.endpoints();
         // BMatching appends at the degree index; record both before insert.
-        let (pu, pw) = (self.matching.degree(u), self.matching.degree(w));
+        let su = self.slot(u, self.matching.degree(u));
+        let sw = self.slot(w, self.matching.degree(w));
         self.matching.insert(pair);
-        let (su, sw) = (self.slot(u, pu), self.slot(w, pw));
         self.push_mru(u, su);
         self.push_mru(w, sw);
+        self.slots.set(pair, [su + 1, sw + 1]);
     }
 
     fn remove(&mut self, pair: Pair) -> bool {
-        let (u, w) = pair.endpoints();
-        let Some(pu) = self.matching.position(u, pair) else {
+        let entry = self.slots.get(pair);
+        if entry[0] == 0 {
             return false;
-        };
-        let pw = self
-            .matching
-            .position(w, pair)
-            .expect("adjacency blocks out of sync");
-        for (v, pos) in [(u, pu), (w, pw)] {
-            let last = self.matching.degree(v) - 1;
-            self.unlink(v, self.slot(v, pos));
-            if pos != last {
+        }
+        for (end, v) in [pair.lo(), pair.hi()].into_iter().enumerate() {
+            let slot = entry[end] - 1;
+            let last_pos = self.matching.degree(v) - 1;
+            let last = self.slot(v, last_pos);
+            self.unlink(v, slot);
+            if slot != last {
                 // Mirror the swap-remove: the block's last edge moves into
-                // the hole, so its list node moves to the hole's slot.
-                self.relabel(v, self.slot(v, last), self.slot(v, pos));
+                // the hole, so its list node and its slot at `v` follow.
+                self.relabel(v, last, slot);
+                let moved = self.matching.incident_edges(v)[last_pos];
+                self.slots.get_mut(moved)[(v == moved.hi()) as usize] = slot + 1;
             }
         }
+        self.slots.set(pair, [0, 0]);
         let removed = self.matching.remove(pair);
-        debug_assert!(removed, "position() found the pair, remove() must too");
+        debug_assert!(
+            removed,
+            "the pair table and the matching out of sync at {pair}"
+        );
         true
     }
 

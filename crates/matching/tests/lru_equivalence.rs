@@ -5,7 +5,10 @@
 //! of every edge, identical LRU victims at every rack, and identical
 //! matchings — including when the reference's stamp clock starts near the
 //! top of the `u64` range (where a stamp-based design is one overflow away
-//! from reordering, and the stamp-free list by construction is not).
+//! from reordering, and the stamp-free list by construction is not), and
+//! on wide blocks (b up to 18 over 28 racks), where swap-removes move
+//! edges at their `lo` and at their `hi` endpoint and the flat structure's
+//! pair table must follow every move.
 
 use dcn_matching::recency::{BTreeRecencyMatching, LruBMatching, RecencyMatching};
 use dcn_topology::{NodeId, Pair};
@@ -93,6 +96,23 @@ fn assert_equivalent(flat: &LruBMatching, tree: &BTreeRecencyMatching, n: u32, s
     }
 }
 
+/// Replays `ops` through both structures over `n` racks at degree cap `b`,
+/// comparing them after every step and checking the flat structure's
+/// internal consistency (lists, blocks and pair table) along the way.
+fn replay(ops: &[Op], n: u32, b: usize) {
+    let mut flat = LruBMatching::new(n as usize, b);
+    let mut tree = BTreeRecencyMatching::new(n as usize, b);
+    for (step, op) in ops.iter().enumerate() {
+        apply(&mut flat, op);
+        apply(&mut tree, op);
+        assert_equivalent(&flat, &tree, n, step);
+        if step % 16 == 0 {
+            flat.assert_valid();
+        }
+    }
+    flat.assert_valid();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -101,15 +121,15 @@ proptest! {
         ops in prop::collection::vec(op_strategy(9), 1..400),
         b in 1usize..4,
     ) {
-        let n = 9u32;
-        let mut flat = LruBMatching::new(n as usize, b);
-        let mut tree = BTreeRecencyMatching::new(n as usize, b);
-        for (step, op) in ops.iter().enumerate() {
-            apply(&mut flat, op);
-            apply(&mut tree, op);
-            assert_equivalent(&flat, &tree, n, step);
-        }
-        flat.assert_valid();
+        replay(&ops, 9, b);
+    }
+
+    #[test]
+    fn flat_lru_replays_btree_recency_on_wide_blocks(
+        ops in prop::collection::vec(op_strategy(28), 1..1_500),
+        b in 4usize..19,
+    ) {
+        replay(&ops, 28, b);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! * [`distance`] — all-pairs shortest path lengths between *racks* (BFS per
 //!   source, optionally parallelized across sources), yielding the
 //!   [`DistanceMatrix`] the cost model reads `ℓ_e` from.
-//! * [`pair`] — the unordered node-pair type used across the workspace.
+//! * [`pair`] — the unordered node-pair type used across the workspace, and
+//!   [`PairTable`], the per-pair state store of the online schedulers.
 //!
 //! # Example
 //!
@@ -40,5 +41,5 @@ pub mod routing;
 pub use builders::Network;
 pub use distance::DistanceMatrix;
 pub use graph::{Graph, GraphBuilder, NodeId};
-pub use pair::Pair;
+pub use pair::{Pair, PairTable};
 pub use routing::{EcmpRouter, LinkLoads, SpDag};
