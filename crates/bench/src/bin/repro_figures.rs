@@ -31,8 +31,9 @@
 //! --fast        scale workloads down ~20x (quick smoke run)
 //! --scale F     multiply request counts by F (e.g. 10 for a 10x longer run;
 //!               composes with --fast). Workloads stream, so memory stays flat.
-//! --threads N   work-stealing worker count for job grids (0 = auto, one per
-//!               core — the default). Timing-sensitive serve loops (panel b,
+//! --threads N   work-stealing worker count for job grids and for SO-BMA's
+//!               checkpoints in panel (c) (0 = auto, one per core — the
+//!               default). Timing-sensitive serve loops (panel b,
 //!               scaling/sweep rows) stay sequential regardless.
 //! --pr N        PR number to record ledger measurements under (ledger only)
 //! --ledger-file PATH  ledger location (default BENCH_LEDGER.json)

@@ -42,7 +42,9 @@ pub use shard::{merge_tables, merged_file_name, shard_file_name};
 use dcn_core::algorithms::static_offline::so_bma_series;
 use dcn_core::algorithms::AlgorithmKind;
 use dcn_core::report::AveragedSeries;
-use dcn_core::sweep::{resolve_threads, run_jobs, run_jobs_sequential, Job, ShardSpec};
+use dcn_core::sweep::{
+    resolve_threads, run_jobs, run_jobs_sequential, with_threads, Job, ShardSpec,
+};
 use dcn_core::RunReport;
 use dcn_topology::{builders, DistanceMatrix};
 use dcn_traces::{FacebookCluster, MicrosoftParams, Trace, TraceSpec};
@@ -341,14 +343,18 @@ fn best_of_series(spec: &FigureSpec, threads: usize) -> Vec<AveragedSeries> {
     }
     // SO-BMA: clairvoyant static matching recomputed per checkpoint. Offline
     // by definition, so this is the one place a figure materializes its
-    // trace — one repetition at a time, freed before the next.
+    // trace — one repetition at a time, freed before the next. Each series
+    // fans its checkpoints out at `threads` wide.
     let cps = spec.checkpoints();
-    let mut per_rep: Vec<Vec<f64>> = Vec::new();
-    for rep in 0..spec.repetitions {
-        let trace = spec.trace(rep);
-        let series = so_bma_series(&dm, &trace.requests, b, &cps);
-        per_rep.push(series.into_iter().map(|(_, cost)| cost as f64).collect());
-    }
+    let per_rep: Vec<Vec<f64>> = with_threads(threads, || {
+        (0..spec.repetitions)
+            .map(|rep| {
+                let trace = spec.trace(rep);
+                let series = so_bma_series(&dm, &trace.requests, b, &cps);
+                series.into_iter().map(|(_, cost)| cost as f64).collect()
+            })
+            .collect()
+    });
     let x: Vec<u64> = cps.iter().map(|&c| c as u64).collect();
     let mut y_mean = Vec::with_capacity(x.len());
     let mut y_std = Vec::with_capacity(x.len());
@@ -883,9 +889,8 @@ mod tests {
         assert!(series[2].y_mean.windows(2).all(|w| w[0] <= w[1]));
     }
 
-    /// Fig. 1 at 1/100 scale, repetition 0, b = 18: the one-pass series is
-    /// pinned, and equals the per-checkpoint replay through
-    /// `static_routing_cost`.
+    /// Fig. 1 at 1/100 scale, repetition 0, b = 18: the series is pinned,
+    /// and equals the per-checkpoint replay through `static_routing_cost`.
     #[test]
     fn so_bma_series_pinned_on_scaled_fig1() {
         use dcn_core::algorithms::static_offline::{so_bma_matching, static_routing_cost};

@@ -11,6 +11,7 @@
 //! exactly the trade-off Figs. 1c–4c probe: it wins on temporally
 //! structureless (i.i.d.) traffic and loses ground on bursty traffic.
 
+use crate::sweep::steal_map;
 use dcn_matching::{repeated::repeated_mwm_b_matching, WeightedEdge};
 use dcn_topology::{DistanceMatrix, Pair};
 use dcn_util::FxHashMap;
@@ -62,71 +63,84 @@ pub fn static_routing_cost(dm: &DistanceMatrix, requests: &[Pair], matching: &[P
 /// SO-BMA evaluated at a sequence of checkpoints: for each prefix length,
 /// the matching is recomputed on that prefix's demand (clairvoyant up to the
 /// checkpoint, as in the paper's figures) and the prefix is priced against
-/// it. Returns `(checkpoint, routing_cost)` rows; a checkpoint beyond the
-/// trace prices the whole trace.
+/// it. Returns `(checkpoint, routing_cost)` rows in checkpoint order; a
+/// checkpoint beyond the trace prices the whole trace.
 ///
-/// The accounting makes one pass over the trace. Pair counts (a dense
-/// `n × n` index into the prefix's distinct pairs, in first-occurrence
-/// order) and a running `Σℓ` are extended from one checkpoint to the next; a
-/// checkpoint lower than the one before it restarts them. Each checkpoint
-/// feeds its distinct pairs, in that order, to a fresh `FxHashMap`: repeat
-/// requests only update a value, so this map is laid out exactly like the
-/// one [`demand_edges`] fills from the whole prefix, and yields the same
-/// edge list and hence the same matching. A prefix's cost is
-/// `Σℓ − Σ_{e∈M} w_e`: each request on a matched pair costs 1 instead of
-/// `ℓ_e`, which saves exactly the pair's weight `w_e = count_e · (ℓ_e − 1)`.
-/// That is [`static_routing_cost`] of the prefix against its matching,
-/// without replaying the prefix.
+/// Checkpoints are independent tasks, each counting and pricing its own
+/// prefix (`prefix_cost`), so any list — unsorted, repeated, 0 or beyond
+/// the trace — prices each prefix the same way. Two or more checkpoints fan out on [`steal_map`] at the executor's
+/// auto width (one worker per core, or one inside another fan-out's worker,
+/// or the width of an enclosing [`crate::sweep::with_threads`]), largest
+/// prefix first so the longest matching never starts last. A single
+/// checkpoint runs inline and never touches the executor.
 pub fn so_bma_series(
     dm: &DistanceMatrix,
     requests: &[Pair],
     b: usize,
     checkpoints: &[usize],
 ) -> Vec<(usize, u64)> {
+    let prefix = |cp: usize| &requests[..cp.min(requests.len())];
+    if checkpoints.len() <= 1 {
+        return checkpoints
+            .iter()
+            .map(|&cp| (cp, prefix_cost(dm, prefix(cp), b)))
+            .collect();
+    }
+    let mut order: Vec<usize> = (0..checkpoints.len()).collect();
+    order.sort_unstable_by_key(|&i| std::cmp::Reverse(prefix(checkpoints[i]).len()));
+    let costs = steal_map(order.len(), 0, |k| {
+        prefix_cost(dm, prefix(checkpoints[order[k]]), b)
+    });
+    let mut rows: Vec<(usize, u64)> = checkpoints.iter().map(|&cp| (cp, 0)).collect();
+    for (&i, cost) in order.iter().zip(costs) {
+        rows[i].1 = cost;
+    }
+    rows
+}
+
+/// SO-BMA's routing cost of one prefix: [`static_routing_cost`] of the
+/// prefix against [`so_bma_matching`] of the prefix, without replaying it.
+///
+/// Pair counts go into a dense `n × n` index into the prefix's distinct
+/// pairs, in first-occurrence order, next to a running `Σℓ`. The distinct
+/// pairs, in that order, fill a fresh `FxHashMap`: repeat requests only
+/// update a value, so this map is laid out exactly like the one
+/// [`demand_edges`] fills from the whole prefix, and yields the same edge
+/// list and hence the same matching. The cost is `Σℓ − Σ_{e∈M} w_e`: each
+/// request on a matched pair costs 1 instead of `ℓ_e`, which saves exactly
+/// the pair's weight `w_e = count_e · (ℓ_e − 1)`.
+fn prefix_cost(dm: &DistanceMatrix, prefix: &[Pair], b: usize) -> u64 {
     let n = dm.num_racks();
-    let mut rows = Vec::with_capacity(checkpoints.len());
     // slot[lo · n + hi]: 1 + the pair's index in `seen`, 0 while unseen.
     // n² entries, as many as the distance matrix holds.
     let mut slot = vec![0u32; n * n];
     let mut seen: Vec<(Pair, i64)> = Vec::new();
     let mut ell_sum = 0u64;
-    let mut done = 0;
-    for &cp in checkpoints {
-        let end = cp.min(requests.len());
-        if end < done {
-            slot.fill(0);
-            seen.clear();
-            ell_sum = 0;
-            done = 0;
+    for &r in prefix {
+        let s = &mut slot[r.lo() as usize * n + r.hi() as usize];
+        if *s == 0 {
+            seen.push((r, 0));
+            *s = seen.len() as u32;
         }
-        for &r in &requests[done..end] {
-            let s = &mut slot[r.lo() as usize * n + r.hi() as usize];
-            if *s == 0 {
-                seen.push((r, 0));
-                *s = seen.len() as u32;
-            }
-            seen[*s as usize - 1].1 += 1;
-            ell_sum += dm.ell(r) as u64;
-        }
-        done = end;
-        let edges = {
-            let mut counts: FxHashMap<Pair, i64> = FxHashMap::default();
-            for &(pair, count) in &seen {
-                counts.insert(pair, count);
-            }
-            saving_edges(dm, &counts)
-        };
-        let matching = repeated_mwm_b_matching(n, &edges, b);
-        let saved: u64 = matching
-            .iter()
-            .map(|p| {
-                let (_, count) = seen[slot[p.lo() as usize * n + p.hi() as usize] as usize - 1];
-                (count * (dm.ell(*p) as i64 - 1)) as u64
-            })
-            .sum();
-        rows.push((cp, ell_sum - saved));
+        seen[*s as usize - 1].1 += 1;
+        ell_sum += dm.ell(r) as u64;
     }
-    rows
+    let edges = {
+        let mut counts: FxHashMap<Pair, i64> = FxHashMap::default();
+        for &(pair, count) in &seen {
+            counts.insert(pair, count);
+        }
+        saving_edges(dm, &counts)
+    };
+    let matching = repeated_mwm_b_matching(n, &edges, b);
+    let saved: u64 = matching
+        .iter()
+        .map(|p| {
+            let (_, count) = seen[slot[p.lo() as usize * n + p.hi() as usize] as usize - 1];
+            (count * (dm.ell(*p) as i64 - 1)) as u64
+        })
+        .sum();
+    ell_sum - saved
 }
 
 #[cfg(test)]

@@ -15,7 +15,10 @@
 //!
 //! `threads = 0` means **auto** (one worker per available core); any other
 //! value is taken literally. This is the convention every `repro_figures
-//! --threads N` target surfaces.
+//! --threads N` target surfaces. Fan-outs never nest: inside any
+//! [`steal_map`] worker auto resolves to one thread, and [`with_threads`]
+//! sets what auto resolves to for the duration of a call (the one way a
+//! library fan-out such as SO-BMA's checkpoints learns `--threads`).
 //!
 //! A [`ShardSpec`] deterministically partitions any grid for multi-host
 //! runs: shard `i/m` owns exactly the jobs (or table rows) whose index is
@@ -45,6 +48,7 @@ use dcn_topology::DistanceMatrix;
 use dcn_traces::TraceSpec;
 use parking_lot::Mutex;
 use serde::Serialize;
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -157,14 +161,51 @@ impl std::fmt::Display for ShardSpec {
     }
 }
 
-/// Resolves the `threads` knob: `0` = auto (one worker per available
-/// core), anything else is taken literally.
-pub fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        threads
+thread_local! {
+    /// What `threads = 0` resolves to on this thread: `0` while unset (one
+    /// worker per available core), `1` inside a [`steal_map`] worker, or
+    /// the width of the innermost [`with_threads`] scope.
+    static AUTO_WIDTH: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Sets this thread's auto width until dropped, then restores the previous
+/// one (also when the scope unwinds).
+struct AutoWidth(usize);
+
+impl AutoWidth {
+    fn set(width: usize) -> Self {
+        Self(AUTO_WIDTH.replace(width))
     }
+}
+
+impl Drop for AutoWidth {
+    fn drop(&mut self) {
+        AUTO_WIDTH.set(self.0);
+    }
+}
+
+/// Resolves the `threads` knob: `0` = auto, anything else is taken
+/// literally. Auto is one worker per available core, except inside a
+/// [`steal_map`] worker (one thread, so fan-outs never nest) or a
+/// [`with_threads`] scope (its width).
+pub fn resolve_threads(threads: usize) -> usize {
+    if threads != 0 {
+        return threads;
+    }
+    match AUTO_WIDTH.get() {
+        0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
+        width => width,
+    }
+}
+
+/// Runs `f` with auto (`threads = 0`) resolving to `threads` on this
+/// thread, and restores the previous width when `f` returns or unwinds.
+/// `threads = 0` leaves the width as it is. This is how a caller caps a
+/// fan-out it does not configure directly, e.g. `--threads 1` keeping
+/// [`crate::algorithms::static_offline::so_bma_series`] on one core.
+pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    let _scope = (threads != 0).then(|| AutoWidth::set(threads));
+    f()
 }
 
 /// Runs all jobs using `threads` workers (`0` = auto); results are in job
@@ -196,7 +237,8 @@ pub fn run_jobs_sharded(
 /// idle worker takes the next undone index, so skewed per-index costs
 /// cannot strand work behind a static split — and writes each result into
 /// its preallocated slot. `result[k] == f(k)`, in index order, for every
-/// thread count.
+/// thread count. Every `f(k)` runs as a worker: auto resolves to one thread
+/// inside it, also when the fan-out runs inline on the caller's thread.
 pub fn steal_map<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     // One global-handle read per fan-out, never per job. With telemetry
     // enabled the instrumented twin runs instead; the path below is the
@@ -207,6 +249,7 @@ pub fn steal_map<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Syn
     }
     let threads = resolve_threads(threads).min(n);
     if threads <= 1 {
+        let _worker = AutoWidth::set(1);
         return (0..n)
             .map(|k| {
                 // The claim site sits *outside* any per-job supervision:
@@ -227,13 +270,16 @@ pub fn steal_map<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Syn
             let cursor = &cursor;
             let slots = &slots;
             let f = &f;
-            scope.spawn(move || loop {
-                let k = cursor.fetch_add(1, Ordering::Relaxed);
-                if k >= n {
-                    break;
+            scope.spawn(move || {
+                let _worker = AutoWidth::set(1);
+                loop {
+                    let k = cursor.fetch_add(1, Ordering::Relaxed);
+                    if k >= n {
+                        break;
+                    }
+                    dcn_util::failpoint::hit("sweep.job_claim");
+                    *slots[k].lock() = Some(f(k));
                 }
-                dcn_util::failpoint::hit("sweep.job_claim");
-                *slots[k].lock() = Some(f(k));
             });
         }
     });
@@ -260,6 +306,7 @@ fn steal_map_instrumented<T: Send>(
     sink.add_counter("sweep.jobs", n as u64);
     if threads <= 1 {
         // Sequential fan-out: still attributed, as worker 0 with no steals.
+        let _worker = AutoWidth::set(1);
         let mut busy = 0u64;
         let mut job_ns = Histogram::default();
         let t_start = Instant::now();
@@ -289,6 +336,7 @@ fn steal_map_instrumented<T: Send>(
             let slots = &slots;
             let f = &f;
             scope.spawn(move || {
+                let _worker = AutoWidth::set(1);
                 let mut jobs = 0u64;
                 let mut steals = 0u64;
                 let mut busy = 0u64;

@@ -470,11 +470,26 @@ impl JsonValue {
     }
 }
 
-/// Parses a complete JSON document; trailing non-whitespace is an error.
+/// How many arrays and objects [`parse_json`] nests before it gives up.
+/// The parser recurses once per level, so without a bound a document of
+/// enough `[` would overflow the stack and abort the process, which no
+/// `catch_unwind` can stop. The emitters write a handful of levels.
+///
+/// ```
+/// use dcn_util::json::{parse_json, MAX_DEPTH};
+/// // On the main thread, 100,000 levels are an error, not an abort.
+/// let err = parse_json(&"[".repeat(100_000)).unwrap_err();
+/// assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+/// ```
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a complete JSON document; trailing non-whitespace is an error, and
+/// so is nesting deeper than [`MAX_DEPTH`].
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -488,6 +503,8 @@ pub fn parse_json(text: &str) -> Result<JsonValue, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -534,8 +551,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -543,6 +560,23 @@ impl<'a> Parser<'a> {
                 self.pos
             )),
         }
+    }
+
+    /// Parses one array or object, one level deeper.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -860,6 +894,31 @@ mod tests {
         ] {
             assert!(parse_json(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_the_offending_byte() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        // Exactly at the limit still parses; one level more names the byte
+        // of the first `[` past it.
+        assert!(parse_json(&nested(MAX_DEPTH)).is_ok());
+        let objects = "{\"k\":".repeat(MAX_DEPTH) + "null" + &"}".repeat(MAX_DEPTH);
+        assert!(parse_json(&objects).is_ok());
+        let err = parse_json(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        // Unbounded recursion used to overflow the stack and abort: 10,000
+        // levels on a thread with a test thread's 2 MiB stack (100,000 on
+        // the main thread are `MAX_DEPTH`'s doctest).
+        let err = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| parse_json(&"[".repeat(10_000)))
+            .unwrap()
+            .join()
+            .expect("no stack overflow")
+            .unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        let err = parse_json(&"[{\"a\":".repeat(50_000)).unwrap_err();
+        assert!(err.contains(&format!("at byte {}", 3 * MAX_DEPTH)), "{err}");
     }
 
     #[test]
