@@ -78,9 +78,9 @@ pub struct CorpusEntry {
 }
 
 /// Parses an algorithm tag: `Oblivious`, `Bma`, `RbmaLazy`, `RbmaStrict`,
-/// `Rotor:<period>`, `Periodic:<period>`, `PredictiveRbma:<noise>`.
-/// (The demand-aware baseline needs forecast matrices and is not
-/// corpus-expressible.)
+/// `Rotor:<period>`, `Periodic:<period>`, with `period ≥ 1`. Any other tag,
+/// including those of retired algorithms, is `None`. (The demand-aware
+/// baseline needs forecast matrices and is not corpus-expressible.)
 pub fn parse_kind(tag: &str) -> Option<AlgorithmKind> {
     match tag {
         "Oblivious" => return Some(AlgorithmKind::Oblivious),
@@ -90,16 +90,10 @@ pub fn parse_kind(tag: &str) -> Option<AlgorithmKind> {
         _ => {}
     }
     let (name, arg) = tag.split_once(':')?;
+    let period = arg.parse().ok().filter(|&p| p >= 1)?;
     match name {
-        "Rotor" => Some(AlgorithmKind::Rotor {
-            period: arg.parse().ok()?,
-        }),
-        "Periodic" => Some(AlgorithmKind::Periodic {
-            period: arg.parse().ok()?,
-        }),
-        "PredictiveRbma" => Some(AlgorithmKind::PredictiveRbma {
-            noise: arg.parse().ok()?,
-        }),
+        "Rotor" => Some(AlgorithmKind::Rotor { period }),
+        "Periodic" => Some(AlgorithmKind::Periodic { period }),
         _ => None,
     }
 }
@@ -114,7 +108,6 @@ pub fn kind_tag(kind: &AlgorithmKind) -> Option<String> {
         AlgorithmKind::Rbma { lazy: false } => "RbmaStrict".into(),
         AlgorithmKind::Rotor { period } => format!("Rotor:{period}"),
         AlgorithmKind::Periodic { period } => format!("Periodic:{period}"),
-        AlgorithmKind::PredictiveRbma { noise } => format!("PredictiveRbma:{noise}"),
         AlgorithmKind::DemandAware { .. } => return None,
     })
 }
@@ -152,7 +145,13 @@ impl CorpusEntry {
         to_json_string(self).expect("corpus entry serialization cannot fail")
     }
 
-    /// Parses [`CorpusEntry::to_json`] output back.
+    /// Parses [`CorpusEntry::to_json`] output back. An entry [`verify`]
+    /// could not replay is an `Err` naming the field: an unknown tag,
+    /// `b` outside `1..num_racks`, `alpha` below 1 (or above `u32::MAX`,
+    /// R-BMA's period counter, for the R-BMA tags), or a genome over a
+    /// different rack count.
+    ///
+    /// [`verify`]: CorpusEntry::verify
     pub fn from_json(text: &str) -> Result<CorpusEntry, String> {
         let v = parse_json(text)?;
         let req_u64 = |key: &str| {
@@ -160,7 +159,7 @@ impl CorpusEntry {
                 .and_then(JsonValue::as_u64)
                 .ok_or_else(|| format!("corpus entry: missing u64 field {key}"))
         };
-        Ok(CorpusEntry {
+        let entry = CorpusEntry {
             algorithm: v
                 .get("algorithm")
                 .and_then(JsonValue::as_str)
@@ -191,7 +190,43 @@ impl CorpusEntry {
                 v.get("genome")
                     .ok_or("corpus entry: missing field genome")?,
             )?,
-        })
+        };
+        entry.check_replayable()?;
+        Ok(entry)
+    }
+
+    /// The ranges [`CorpusEntry::verify`]'s replay needs to run without a
+    /// panic or an oversized allocation.
+    fn check_replayable(&self) -> Result<(), String> {
+        let kind = parse_kind(&self.algorithm).ok_or_else(|| {
+            format!(
+                "corpus entry: field algorithm = {:?} is not a known tag",
+                self.algorithm
+            )
+        })?;
+        if self.b == 0 || self.b >= self.num_racks {
+            return Err(format!(
+                "corpus entry: field b = {} not in 1..{} (num_racks)",
+                self.b, self.num_racks
+            ));
+        }
+        let max_alpha = match kind {
+            AlgorithmKind::Rbma { .. } => u64::from(u32::MAX),
+            _ => u64::MAX,
+        };
+        if !(1..=max_alpha).contains(&self.alpha) {
+            return Err(format!(
+                "corpus entry: field alpha = {} not in 1..={max_alpha} for {}",
+                self.alpha, self.algorithm
+            ));
+        }
+        if self.genome.num_racks != self.num_racks {
+            return Err(format!(
+                "corpus entry: field genome.num_racks = {} differs from num_racks = {}",
+                self.genome.num_racks, self.num_racks
+            ));
+        }
+        Ok(())
     }
 
     /// Replays the entry and demands exact cost agreement.
@@ -253,6 +288,47 @@ mod tests {
         }
         assert!(parse_kind("NoSuchAlgorithm").is_none());
         assert!(parse_kind("Rotor:notanumber").is_none());
+        assert!(parse_kind("PredictiveRbma:0.5").is_none());
+        assert!(parse_kind("Rotor:0").is_none());
+    }
+
+    /// One mangled copy of a committed entry per field: each must be an
+    /// `Err` naming that field, where it used to panic or abort in replay.
+    #[test]
+    fn from_json_rejects_entries_replay_cannot_run() {
+        let read = |name: &str| std::fs::read_to_string(corpus_dir().join(name)).unwrap();
+        let (rotor, rbma) = (read("rotor_50.json"), read("rbma_lazy.json"));
+        let mangle = |text: &str, from: &str, to: &str| {
+            assert_eq!(text.matches(from).count(), 1, "{from} must occur once");
+            text.replacen(from, to, 1)
+        };
+        for (text, from, to, field) in [
+            (&rotor, r#""Rotor:50""#, r#""Rotor:0""#, "algorithm"),
+            (&rotor, r#""Rotor:50""#, r#""Periodic:0""#, "algorithm"),
+            (&rotor, r#""b":2,"#, r#""b":0,"#, "b"),
+            (&rotor, r#""b":2,"#, r#""b":8,"#, "b"),
+            (&rotor, r#""b":2,"#, r#""b":10000000000000,"#, "b"),
+            (&rotor, r#""alpha":10,"#, r#""alpha":0,"#, "alpha"),
+            (&rbma, r#""alpha":10,"#, r#""alpha":0,"#, "alpha"),
+            (&rbma, r#""alpha":10,"#, r#""alpha":4294967296,"#, "alpha"),
+            (
+                &rotor,
+                r#"8,"segments""#,
+                r#"16,"segments""#,
+                "genome.num_racks",
+            ),
+        ] {
+            let err = CorpusEntry::from_json(&mangle(text, from, to)).unwrap_err();
+            assert!(err.contains(&format!("field {field} = ")), "{to}: {err}");
+        }
+        // The bounds are inclusive, and the u32 bound is R-BMA's alone.
+        for (text, from, to) in [
+            (&rbma, r#""alpha":10,"#, r#""alpha":4294967295,"#),
+            (&rotor, r#""alpha":10,"#, r#""alpha":4294967296,"#),
+            (&rotor, r#""b":2,"#, r#""b":7,"#),
+        ] {
+            CorpusEntry::from_json(&mangle(text, from, to)).expect("in-range entry loads");
+        }
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Offline-machinery benchmarks: the SO-BMA pipeline (demand aggregation →
-//! blossom rounds → the per-checkpoint series) and the switch-assignment
-//! edge coloring.
+//! Offline-machinery benchmarks: the blossom matcher against greedy, and
+//! the SO-BMA pipeline (demand aggregation → blossom rounds → the
+//! per-checkpoint series).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dcn_bench::FigureSpec;
 use dcn_core::algorithms::static_offline::{demand_edges, so_bma_matching, so_bma_series};
 use dcn_core::sweep::with_threads;
-use dcn_matching::{edge_coloring, greedy_b_matching, max_weight_matching, WeightedEdge};
+use dcn_matching::{greedy_b_matching, max_weight_matching, WeightedEdge};
 use dcn_topology::{builders, DistanceMatrix};
 use dcn_traces::generators::facebook::facebook_cluster_trace;
 use dcn_traces::FacebookCluster;
@@ -81,35 +81,5 @@ fn so_bma_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-fn switch_coloring(c: &mut Criterion) {
-    let mut group = c.benchmark_group("edge_coloring");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_secs(1));
-    for b in [6usize, 18] {
-        // Random b-matching on 100 racks.
-        let n = 100;
-        let mut rng = SmallRng::seed_from_u64(b as u64);
-        let mut degree = vec![0usize; n];
-        let mut edges = Vec::new();
-        for u in 0..n as u32 {
-            for v in (u + 1)..n as u32 {
-                if degree[u as usize] < b && degree[v as usize] < b && rng.random_bool(0.3) {
-                    degree[u as usize] += 1;
-                    degree[v as usize] += 1;
-                    edges.push(dcn_topology::Pair::new(u, v));
-                }
-            }
-        }
-        group.bench_with_input(
-            BenchmarkId::new("misra_gries", b),
-            &edges,
-            |bencher, edges| bencher.iter(|| black_box(edge_coloring(n, edges))),
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, blossom_vs_greedy, so_bma_pipeline, switch_coloring);
+criterion_group!(benches, blossom_vs_greedy, so_bma_pipeline);
 criterion_main!(benches);

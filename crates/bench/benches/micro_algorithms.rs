@@ -41,13 +41,11 @@ fn all_algorithms(c: &mut Criterion) {
         AlgorithmKind::Rbma { lazy: false },
         AlgorithmKind::Bma,
         AlgorithmKind::Rotor { period: 100 },
-        AlgorithmKind::PredictiveRbma { noise: 0.0 },
     ];
     for algorithm in algorithms {
         group.bench_function(algorithm.label(), |bencher| {
             bencher.iter(|| {
-                let mut s =
-                    algorithm.build_with_trace(dm.clone(), 12, spec.alpha, 5, &trace.requests);
+                let mut s = algorithm.build_online(dm.clone(), 12, spec.alpha, 5);
                 let mut matched = 0u64;
                 for &r in &trace.requests {
                     matched += s.serve(r).was_matched as u64;
@@ -73,8 +71,7 @@ fn b_sensitivity(c: &mut Criterion) {
         for b in [6usize, 12, 24, 48] {
             group.bench_with_input(BenchmarkId::new(algorithm.label(), b), &b, |bencher, &b| {
                 bencher.iter(|| {
-                    let mut s =
-                        algorithm.build_with_trace(dm.clone(), b, spec.alpha, 5, &trace.requests);
+                    let mut s = algorithm.build_online(dm.clone(), b, spec.alpha, 5);
                     let mut matched = 0u64;
                     for &r in &trace.requests {
                         matched += s.serve(r).was_matched as u64;

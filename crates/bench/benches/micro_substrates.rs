@@ -2,7 +2,7 @@
 //! system-level numbers rest on.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dcn_paging::{Belady, Fifo, Lru, Marking, PagingPolicy};
+use dcn_paging::{Belady, Lru, Marking, PagingPolicy};
 use dcn_topology::{builders, DistanceMatrix};
 use dcn_traces::{zipf_weights, AliasTable};
 use dcn_util::IndexedSet;
@@ -34,16 +34,6 @@ fn paging_policies(c: &mut Criterion) {
     group.bench_function("lru", |b| {
         b.iter(|| {
             let mut m = Lru::new(cap);
-            let mut faults = 0u64;
-            for &p in &seq {
-                faults += m.access(p).is_fault() as u64;
-            }
-            black_box(faults)
-        })
-    });
-    group.bench_function("fifo", |b| {
-        b.iter(|| {
-            let mut m = Fifo::new(cap);
             let mut faults = 0u64;
             for &p in &seq {
                 faults += m.access(p).is_fault() as u64;

@@ -1,11 +1,10 @@
 //! The online and offline algorithms evaluated in the paper (§2, §3) plus
-//! the extensions discussed in §5.
+//! the baselines the figures and ablations compare them with.
 
 pub mod bma;
 pub mod demand_aware;
 pub mod oblivious;
 pub mod periodic;
-pub mod predictive;
 pub mod rbma;
 pub mod rotor;
 pub mod static_offline;
@@ -32,12 +31,6 @@ pub enum AlgorithmKind {
     Rotor {
         /// Requests between rotation steps.
         period: u64,
-    },
-    /// R-BMA with next-request predictions (§5 future work). `noise`
-    /// blurs the oracle (0.0 = perfect).
-    PredictiveRbma {
-        /// Relative prediction error magnitude.
-        noise: f64,
     },
     /// Coarse-granular baseline: rebuild a greedy heavy b-matching from the
     /// last window every `period` requests (Proteus/OSA-style).
@@ -79,7 +72,6 @@ impl AlgorithmKind {
             AlgorithmKind::Rbma { lazy: false } => "R-BMA(strict)".into(),
             AlgorithmKind::Bma => "BMA".into(),
             AlgorithmKind::Rotor { .. } => "Rotor".into(),
-            AlgorithmKind::PredictiveRbma { noise } => format!("P-BMA(noise={noise})"),
             AlgorithmKind::Periodic { period } => format!("Periodic({period})"),
             AlgorithmKind::DemandAware { forecast } if forecast.is_hedged() => {
                 "DemandAware(hedged)".into()
@@ -88,20 +80,9 @@ impl AlgorithmKind {
         }
     }
 
-    /// Whether building this algorithm requires the materialized future
-    /// request sequence (offline knowledge). Only the prediction-augmented
-    /// variant does — its oracle is synthesized from the trace. Everything
-    /// else is truly online and can run over an unmaterialized stream.
-    pub fn needs_materialized_trace(&self) -> bool {
-        matches!(self, AlgorithmKind::PredictiveRbma { .. })
-    }
-
-    /// Instantiates a purely online scheduler — no trace access at all, so
-    /// sweep workers can feed it an O(1)-memory request stream.
-    ///
-    /// Panics for algorithms whose construction needs the future sequence
-    /// (see [`AlgorithmKind::needs_materialized_trace`]); route those
-    /// through [`AlgorithmKind::build_with_trace`].
+    /// Instantiates the scheduler. Every algorithm is online — none reads
+    /// the trace ahead — so sweep workers can feed it an O(1)-memory
+    /// request stream.
     pub fn build_online(
         &self,
         dm: Arc<DistanceMatrix>,
@@ -122,36 +103,12 @@ impl AlgorithmKind {
             }
             AlgorithmKind::Bma => Box::new(bma::Bma::new(dm, b, alpha)),
             AlgorithmKind::Rotor { period } => Box::new(rotor::Rotor::new(n, b, period)),
-            AlgorithmKind::PredictiveRbma { .. } => panic!(
-                "{} needs the materialized trace; use build_with_trace",
-                self.label()
-            ),
             AlgorithmKind::Periodic { period } => {
                 Box::new(periodic::PeriodicRebuild::new(dm, b, period))
             }
             AlgorithmKind::DemandAware { ref forecast } => {
                 Box::new(demand_aware::StaticDemandAware::new(&dm, b, forecast))
             }
-        }
-    }
-
-    /// Instantiates a scheduler when a materialized trace is at hand.
-    /// `trace` is only read by the prediction-needing variants; the online
-    /// algorithms ignore it and defer to
-    /// [`AlgorithmKind::build_online`].
-    pub fn build_with_trace(
-        &self,
-        dm: Arc<DistanceMatrix>,
-        b: usize,
-        alpha: u64,
-        seed: u64,
-        trace: &[dcn_topology::Pair],
-    ) -> Box<dyn OnlineScheduler> {
-        match *self {
-            AlgorithmKind::PredictiveRbma { noise } => Box::new(predictive::PredictiveRbma::new(
-                dm, b, alpha, trace, noise, seed,
-            )),
-            _ => self.build_online(dm, b, alpha, seed),
         }
     }
 }
@@ -161,7 +118,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn only_predictive_needs_the_trace() {
+    fn every_kind_builds_online() {
         for kind in [
             AlgorithmKind::Oblivious,
             AlgorithmKind::Rbma { lazy: true },
@@ -175,12 +132,10 @@ mod tests {
                 DemandMatrix::uniform(6),
             ]),
         ] {
-            assert!(!kind.needs_materialized_trace(), "{}", kind.label());
             let dm = Arc::new(DistanceMatrix::uniform(6));
             let s = kind.build_online(dm, 2, 5, 0);
-            assert_eq!(s.cap(), 2);
+            assert_eq!(s.cap(), 2, "{}", kind.label());
         }
-        assert!(AlgorithmKind::PredictiveRbma { noise: 0.0 }.needs_materialized_trace());
     }
 
     #[test]
@@ -192,12 +147,5 @@ mod tests {
             DemandMatrix::zipf_pairs(4, 1.0, 0),
         ]);
         assert_eq!(hedged.label(), "DemandAware(hedged)");
-    }
-
-    #[test]
-    #[should_panic(expected = "use build_with_trace")]
-    fn build_online_rejects_predictive() {
-        let dm = Arc::new(DistanceMatrix::uniform(4));
-        AlgorithmKind::PredictiveRbma { noise: 0.0 }.build_online(dm, 2, 5, 0);
     }
 }

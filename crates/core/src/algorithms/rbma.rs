@@ -39,7 +39,7 @@
 
 use crate::scheduler::{BatchOutcome, OnlineScheduler, ServeOutcome};
 use dcn_matching::BMatching;
-use dcn_paging::{DenseAccess, DenseMarking};
+use dcn_paging::{Access, DenseMarking, PagingPolicy};
 use dcn_telemetry::{Counter, Telemetry};
 use dcn_topology::pair::dense_pair_ids;
 use dcn_topology::{DistanceMatrix, NodeId, Pair, PairTable};
@@ -181,9 +181,9 @@ impl Rbma {
     /// Applies one endpoint's cache update for a special request; returns
     /// the matching removals it caused.
     fn touch_cache(&mut self, node: NodeId, partner: NodeId) -> u32 {
-        let access = self.caches[node as usize].access_dense(partner as u64);
+        let access = self.caches[node as usize].access(partner as u64);
         let mut removed = 0;
-        if let DenseAccess::Fault {
+        if let Access::Fault {
             evicted: Some(evicted_page),
         } = access
         {
@@ -251,14 +251,8 @@ impl Rbma {
         removed += self.touch_cache(v, u);
 
         // Matching invariant: the pair is now in both caches.
-        debug_assert!(dcn_paging::PagingPolicy::contains(
-            &self.caches[u as usize],
-            v as u64
-        ));
-        debug_assert!(dcn_paging::PagingPolicy::contains(
-            &self.caches[v as usize],
-            u as u64
-        ));
+        debug_assert!(self.caches[u as usize].contains(v as u64));
+        debug_assert!(self.caches[v as usize].contains(u as u64));
         debug_assert_eq!(matched, self.matching.contains(pair));
         let mut added = 0;
         if !matched {
@@ -473,7 +467,6 @@ impl OnlineScheduler for Rbma {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcn_paging::PagingPolicy;
     use dcn_topology::builders;
 
     fn uniform_dm(n: usize) -> Arc<DistanceMatrix> {

@@ -14,8 +14,10 @@
 //!   [`algorithms::rbma::Rbma`] (the paper's randomized O(γ·log b)
 //!   algorithm), [`algorithms::bma::Bma`] (the deterministic Θ(b) baseline
 //!   of Bienkowski et al. \[11\]), [`algorithms::static_offline`] (SO-BMA),
-//!   [`algorithms::oblivious::Oblivious`], plus a RotorNet-style oblivious
-//!   rotor and a prediction-augmented R-BMA (§5 future work).
+//!   [`algorithms::oblivious::Oblivious`], plus the RotorNet-style rotor,
+//!   periodic-rebuild and demand-aware static baselines. All of them are
+//!   online: [`algorithms::AlgorithmKind::build_online`] is the one
+//!   constructor, and none needs the trace ahead of time.
 //! * [`simulator`] — request-driven execution with checkpointed
 //!   routing-cost / reconfiguration-cost / wall-clock series (the x/y data
 //!   of Figs. 1–4). Consumes any [`simulator::RequestStream`]: an eager
@@ -62,7 +64,6 @@
 //! ```
 
 pub mod algorithms;
-pub mod analysis;
 pub mod cancel;
 pub mod journal;
 pub mod ratio;

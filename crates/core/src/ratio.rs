@@ -36,9 +36,8 @@ pub struct RatioOutcome {
 /// routing cost on the same trace.
 ///
 /// The trace must be materialized: the offline baseline aggregates the
-/// whole sequence, and the prediction-augmented variant builds its oracle
-/// from it. `config.checkpoints` and friends pass through to the online
-/// run unchanged.
+/// whole sequence. `config.checkpoints` and friends pass through to the
+/// online run unchanged.
 pub fn cost_ratio_vs_static(
     kind: &AlgorithmKind,
     dm: &Arc<DistanceMatrix>,
@@ -49,11 +48,7 @@ pub fn cost_ratio_vs_static(
     config: &SimConfig,
 ) -> RatioOutcome {
     let requests = trace.prefix(trace.len());
-    let mut scheduler = if kind.needs_materialized_trace() {
-        kind.build_with_trace(dm.clone(), b, alpha, seed, requests)
-    } else {
-        kind.build_online(dm.clone(), b, alpha, seed)
-    };
+    let mut scheduler = kind.build_online(dm.clone(), b, alpha, seed);
     let online = run(&mut *scheduler, dm, alpha, trace, config);
     let offline_cost = static_offline::so_bma_series(dm, requests, b, &[requests.len()])[0]
         .1

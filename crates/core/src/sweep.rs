@@ -29,12 +29,10 @@
 //!
 //! Every [`Job`] carries a [`TraceSpec`] — a *description* of its workload
 //! (generator + parameters + trace seed) — and each worker synthesizes its
-//! own request stream in-place. Online-only job grids therefore never
-//! allocate a `Vec` of the full trace (peak resident trace memory is O(1)
-//! in the request count), there is no shared-trace `Arc` to contend on, and
-//! (trace-seed × algo-seed) grids are just more jobs. Only algorithms that
-//! declare [`AlgorithmKind::needs_materialized_trace`] (the prediction
-//! oracle) materialize their trace, privately and transiently.
+//! own request stream in-place. Job grids therefore never allocate a `Vec`
+//! of the full trace (peak resident trace memory is O(1) in the request
+//! count), there is no shared-trace `Arc` to contend on, and
+//! (trace-seed × algo-seed) grids are just more jobs.
 //!
 //! Execution-*time* figures must not share cores; use `threads = 1` (or
 //! [`run_jobs_sequential`]) for those, as the figure harness does.
@@ -403,28 +401,13 @@ fn execute_with_cancel(dm: &Arc<DistanceMatrix>, job: &Job, cancel: &CancelToken
         cancel: cancel.clone(),
         ..SimConfig::default()
     };
-    let mut report = if job.algorithm.needs_materialized_trace() {
-        // Offline knowledge required: materialize this job's trace privately
-        // (borrowed, not cloned, when the spec already wraps one).
-        let trace = job.trace.as_trace();
-        config.trace_name = trace.name.clone();
-        let mut scheduler = job.algorithm.build_with_trace(
-            Arc::clone(dm),
-            job.b,
-            job.alpha,
-            job.seed,
-            &trace.requests,
-        );
-        run(scheduler.as_mut(), dm, job.alpha, &trace.requests, &config)
-    } else {
-        // Online path: stream the workload, O(1) memory in its length.
-        let mut source = job.trace.source();
-        config.trace_name = source.name().to_string();
-        let mut scheduler = job
-            .algorithm
-            .build_online(Arc::clone(dm), job.b, job.alpha, job.seed);
-        run(scheduler.as_mut(), dm, job.alpha, source.as_mut(), &config)
-    };
+    // Stream the workload: O(1) memory in its length.
+    let mut source = job.trace.source();
+    config.trace_name = source.name().to_string();
+    let mut scheduler = job
+        .algorithm
+        .build_online(Arc::clone(dm), job.b, job.alpha, job.seed);
+    let mut report = run(scheduler.as_mut(), dm, job.alpha, source.as_mut(), &config);
     report.algorithm = job.algorithm.label();
     report
 }
@@ -774,23 +757,6 @@ mod tests {
             assert_eq!(x.total.reconfigurations, y.total.reconfigurations);
             assert_eq!(x.trace, y.trace, "trace provenance must agree");
         }
-    }
-
-    #[test]
-    fn predictive_jobs_materialize_transparently() {
-        let dm = setup();
-        let job = Job {
-            algorithm: AlgorithmKind::PredictiveRbma { noise: 0.0 },
-            b: 2,
-            alpha: 5,
-            seed: 1,
-            checkpoints: vec![],
-            trace: spec(),
-        };
-        let a = run_jobs_sequential(&dm, std::slice::from_ref(&job));
-        let b = run_jobs_sequential(&dm, std::slice::from_ref(&job));
-        assert_eq!(a[0].total.routing_cost, b[0].total.routing_cost);
-        assert_eq!(a[0].total.requests, 3000);
     }
 
     #[test]

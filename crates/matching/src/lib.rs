@@ -14,8 +14,6 @@
 //! * [`repeated`] — maximum-weight *b*-matching as the union of `b` rounds
 //!   of exact matching on the residual graph: exactly what `b` optical
 //!   circuit switches realize physically (each switch carries one matching).
-//! * [`coloring`] — Misra–Gries edge coloring (≤ Δ+1 colors), which maps a
-//!   b-matching onto concrete optical switches.
 //! * [`recency`] — per-endpoint LRU recency over a [`BMatching`]:
 //!   [`recency::LruBMatching`], a flat intrusive LRU threaded through the
 //!   matching's fixed-stride adjacency (O(1) touch/evict, BMA's hot path),
@@ -27,14 +25,12 @@
 pub mod blossom;
 pub mod bmatching;
 pub mod brute;
-pub mod coloring;
 pub mod greedy;
 pub mod recency;
 pub mod repeated;
 
 pub use blossom::max_weight_matching;
 pub use bmatching::BMatching;
-pub use coloring::edge_coloring;
 pub use greedy::{greedy_b_matching, greedy_matching};
 pub use recency::{BTreeRecencyMatching, LruBMatching, RecencyMatching};
 pub use repeated::repeated_mwm_b_matching;

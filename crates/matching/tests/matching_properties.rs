@@ -1,11 +1,10 @@
 //! Property tests for the matching substrate: the blossom matcher against
-//! ground truth, structural invariants of every matcher, and the coloring
-//! pipeline end to end.
+//! ground truth, structural invariants of every matcher, and `BMatching`
+//! against a model.
 
 use dcn_matching::blossom::max_weight_matching_pairs;
 use dcn_matching::bmatching::{is_valid_b_matching, BMatching};
 use dcn_matching::brute::brute_force_max_weight_b_matching;
-use dcn_matching::coloring::{assign_switches, validate_coloring};
 use dcn_matching::greedy::{greedy_b_matching, matching_weight};
 use dcn_matching::repeated::repeated_mwm_b_matching;
 use dcn_matching::WeightedEdge;
@@ -58,36 +57,6 @@ proptest! {
         prop_assert!(got <= opt);
         // Round 1 alone is an exact matching ≥ opt/b.
         prop_assert!((b as i64) * got >= opt, "{} rounds yielded {} < opt/b of {}", b, got, opt);
-    }
-
-    #[test]
-    fn coloring_pipeline_on_scheduler_like_matchings(
-        edges in prop::collection::vec((0u32..16, 0u32..15), 0..40),
-        b in 1usize..5,
-    ) {
-        // Build a b-matching greedily from the raw pairs.
-        let mut m = BMatching::new(16, b);
-        for (a, raw_b) in edges {
-            let v = if raw_b >= a { raw_b + 1 } else { raw_b };
-            let _ = m.try_insert(Pair::new(a, v));
-        }
-        let pairs: Vec<Pair> = m.edges().collect();
-        let switches = assign_switches(16, &pairs);
-        prop_assert!(switches.len() <= b + 1, "Vizing bound violated");
-        let colors: Vec<u32> = {
-            // Rebuild the color list from the switch assignment.
-            let mut map = std::collections::HashMap::new();
-            for (c, sw) in switches.iter().enumerate() {
-                for e in sw {
-                    map.insert(*e, c as u32);
-                }
-            }
-            pairs.iter().map(|e| map[e]).collect()
-        };
-        prop_assert!(validate_coloring(&pairs, &colors).is_ok());
-        for sw in &switches {
-            prop_assert!(is_valid_b_matching(sw, 1), "switch carries a non-matching");
-        }
     }
 
     #[test]

@@ -97,12 +97,12 @@ impl PagingPolicy for Belady {
             self.order.insert((next_use, page));
             return Access::Hit;
         }
-        let mut evicted = Vec::new();
+        let mut evicted = None;
         if self.cached.len() == self.capacity {
             let &(key, victim) = self.order.iter().next_back().expect("cache is full");
             self.order.remove(&(key, victim));
             self.cached.remove(&victim);
-            evicted.push(victim);
+            evicted = Some(victim);
         }
         self.cached.insert(page, next_use);
         self.order.insert((next_use, page));

@@ -9,8 +9,7 @@
 //! index-addressed arrays: a `slot` table (page → dense-vector position), a
 //! cached-page **bitset** and a mark **bitset**. Every access is then a
 //! couple of bit probes plus at most one swap-remove in a dense vector: no
-//! hashing, no pointer chasing, and — via [`DenseMarking::access_dense`] —
-//! no per-fault `Vec` allocation (marking evicts at most one page).
+//! hashing, no pointer chasing, and no allocation.
 //!
 //! Behavioral contract: **draw-for-draw identical to
 //! [`Marking`](crate::Marking)** under the same seed. The dense vectors
@@ -29,27 +28,6 @@ use rand::{Rng, SeedableRng};
 /// enough that a cloned cache carries negligible pre-drawn state, large
 /// enough to amortize the generator's state load/store across faults.
 const RNG_BLOCK: usize = 8;
-
-/// Result of one access on the allocation-free path: marking evicts at most
-/// one page per fault, so no `Vec` is needed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DenseAccess {
-    /// The page was cached (and is now marked).
-    Hit,
-    /// The page was fetched; `evicted` is the victim, if the cache was full.
-    Fault {
-        /// Page evicted to make room (`None` while the cache fills up).
-        evicted: Option<PageId>,
-    },
-}
-
-impl DenseAccess {
-    /// Whether this access was a fault.
-    #[inline]
-    pub fn is_fault(self) -> bool {
-        matches!(self, DenseAccess::Fault { .. })
-    }
-}
 
 #[inline]
 fn bit(bits: &[u64], i: usize) -> bool {
@@ -170,7 +148,7 @@ impl DenseMarking {
         (bit(&self.cached, i), bit(&self.marked, i))
     }
 
-    /// The hit half of [`Self::access_dense`] with the cached probe already
+    /// The hit half of [`PagingPolicy::access`] with the cached probe already
     /// done by the caller: marks `page`, moving it from the unmarked to the
     /// marked list if needed. `page` **must** be cached.
     #[inline]
@@ -210,15 +188,28 @@ impl DenseMarking {
             }
         }
     }
+}
 
-    /// Processes one access without allocating; see [`DenseAccess`].
+impl PagingPolicy for DenseMarking {
+    fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    fn len(&self) -> usize {
+        self.marked_items.len() + self.unmarked_items.len()
+    }
+
+    fn contains(&self, page: PageId) -> bool {
+        (page as usize) < self.num_pages && bit(&self.cached, page as usize)
+    }
+
     #[inline]
-    pub fn access_dense(&mut self, page: PageId) -> DenseAccess {
+    fn access(&mut self, page: PageId) -> Access {
         let i = page as usize;
         debug_assert!(i < self.num_pages, "page {page} outside dense universe");
         if bit(&self.cached, i) {
             self.mark_cached_hit(page);
-            return DenseAccess::Hit;
+            return Access::Hit;
         }
         // Fault.
         let mut evicted = None;
@@ -242,30 +233,7 @@ impl DenseMarking {
         set_bit(&mut self.marked, i);
         self.slot[i] = self.marked_items.len() as u32;
         self.marked_items.push(page);
-        DenseAccess::Fault { evicted }
-    }
-}
-
-impl PagingPolicy for DenseMarking {
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    fn len(&self) -> usize {
-        self.marked_items.len() + self.unmarked_items.len()
-    }
-
-    fn contains(&self, page: PageId) -> bool {
-        (page as usize) < self.num_pages && bit(&self.cached, page as usize)
-    }
-
-    fn access(&mut self, page: PageId) -> Access {
-        match self.access_dense(page) {
-            DenseAccess::Hit => Access::Hit,
-            DenseAccess::Fault { evicted } => Access::Fault {
-                evicted: evicted.into_iter().collect(),
-            },
-        }
+        Access::Fault { evicted }
     }
 
     fn reset(&mut self) {
@@ -341,7 +309,7 @@ mod tests {
     fn probe_and_mark_hit_match_access_on_cached_pages() {
         // Mixing the hoisted hit path (probe + mark_cached_hit) with full
         // accesses must leave state and RNG stream identical to always
-        // calling access_dense: hits never draw, so streams cannot diverge.
+        // calling access: hits never draw, so streams cannot diverge.
         for seed in [2u64, 11] {
             let universe = 24usize;
             let mut reference = DenseMarking::new(5, universe, seed);
@@ -349,13 +317,13 @@ mod tests {
             let mut walk = SmallRng::seed_from_u64(seed ^ 0x5C5C);
             for _ in 0..3_000u32 {
                 let page = walk.random_range(0..universe as u64);
-                let expected = reference.access_dense(page);
+                let expected = reference.access(page);
                 let (cached, _) = hoisted.probe(page);
                 if cached {
                     hoisted.mark_cached_hit(page);
-                    assert_eq!(expected, DenseAccess::Hit);
+                    assert_eq!(expected, Access::Hit);
                 } else {
-                    assert_eq!(hoisted.access_dense(page), expected);
+                    assert_eq!(hoisted.access(page), expected);
                 }
                 assert_eq!(hoisted.cached_pages(), reference.cached_pages());
             }
@@ -382,14 +350,14 @@ mod tests {
 
     #[test]
     fn dense_access_is_alloc_free_shape() {
-        // Fill, then fault with eviction: the dense path reports at most
-        // one victim inline.
+        // Fill, then fault with eviction: an access reports at most one
+        // victim inline.
         let mut m = DenseMarking::new(2, 8, 1);
-        assert_eq!(m.access_dense(0), DenseAccess::Fault { evicted: None });
-        assert_eq!(m.access_dense(1), DenseAccess::Fault { evicted: None });
-        assert_eq!(m.access_dense(0), DenseAccess::Hit);
-        match m.access_dense(2) {
-            DenseAccess::Fault { evicted: Some(v) } => assert!(v < 2),
+        assert_eq!(m.access(0), Access::Fault { evicted: None });
+        assert_eq!(m.access(1), Access::Fault { evicted: None });
+        assert_eq!(m.access(0), Access::Hit);
+        match m.access(2) {
+            Access::Fault { evicted: Some(v) } => assert!(v < 2),
             other => panic!("expected eviction, got {other:?}"),
         }
         assert_eq!(m.len(), 2);

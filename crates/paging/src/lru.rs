@@ -56,12 +56,12 @@ impl PagingPolicy for Lru {
             self.touch(page);
             return Access::Hit;
         }
-        let mut evicted = Vec::new();
+        let mut evicted = None;
         if self.len() == self.capacity {
             let (&oldest, &victim) = self.by_stamp.iter().next().expect("cache is full");
             self.by_stamp.remove(&oldest);
             self.stamp_of.remove(&victim);
-            evicted.push(victim);
+            evicted = Some(victim);
         }
         self.touch(page);
         Access::Fault { evicted }
@@ -99,7 +99,7 @@ mod tests {
         lru.access(2);
         lru.access(1); // 2 is now least recent
         let acc = lru.access(3);
-        assert_eq!(acc.evicted(), &[2]);
+        assert_eq!(acc.evicted(), Some(2));
         assert!(lru.contains(1) && lru.contains(3));
     }
 
@@ -134,7 +134,7 @@ mod tests {
         lru.access(2);
         assert!(lru.invalidate(1));
         let acc = lru.access(3);
-        assert!(acc.is_fault() && acc.evicted().is_empty());
+        assert_eq!(acc, Access::Fault { evicted: None });
         assert_eq!(lru.len(), 2);
     }
 

@@ -30,7 +30,7 @@ use rand::SeedableRng;
 /// assert!(cache.access(2).is_fault());
 /// assert!(!cache.access(1).is_fault()); // hit, page marked
 /// let fault = cache.access(3); // full: evicts a random unmarked page
-/// assert_eq!(fault.evicted().len(), 1);
+/// assert!(fault.evicted().is_some());
 /// assert!(cache.len() <= cache.capacity());
 /// ```
 #[derive(Clone, Debug)]
@@ -89,7 +89,7 @@ impl PagingPolicy for Marking {
             return Access::Hit;
         }
         // Fault.
-        let mut evicted = Vec::new();
+        let mut evicted = None;
         if self.len() == self.capacity {
             if self.unmarked.is_empty() {
                 // New phase: clear all marks.
@@ -102,7 +102,7 @@ impl PagingPolicy for Marking {
                 .unmarked
                 .sample_remove(&mut self.rng)
                 .expect("full cache must have an unmarked page after phase reset");
-            evicted.push(victim);
+            evicted = Some(victim);
         }
         self.marked.insert(page);
         Access::Fault { evicted }
@@ -136,7 +136,7 @@ mod tests {
         let mut m = Marking::new(3, 0);
         for p in 0..3 {
             match m.access(p) {
-                Access::Fault { evicted } => assert!(evicted.is_empty()),
+                Access::Fault { evicted } => assert_eq!(evicted, None),
                 Access::Hit => panic!("unexpected hit"),
             }
         }
@@ -161,7 +161,7 @@ mod tests {
         m.access(1);
         let acc = m.access(2);
         assert!(acc.is_fault());
-        assert_eq!(acc.evicted().len(), 1);
+        assert!(acc.evicted().is_some());
         assert_eq!(m.len(), 2);
         assert!(m.contains(2));
     }
@@ -185,7 +185,7 @@ mod tests {
         let second = m.access(4);
         assert!(second.is_fault());
         assert!(
-            !second.evicted().contains(&3),
+            second.evicted() != Some(3),
             "marked page 3 evicted within phase"
         );
         assert!(m.contains(3) && m.contains(4));
@@ -213,7 +213,7 @@ mod tests {
                 if acc.is_fault() {
                     faults += 1;
                 }
-                trace.extend_from_slice(acc.evicted());
+                trace.extend(acc.evicted());
             }
             (faults, trace)
         };
@@ -233,7 +233,7 @@ mod tests {
         assert!(!m.invalidate(0));
         // Cache has room again: next fault must not evict.
         let acc = m.access(9);
-        assert!(acc.is_fault() && acc.evicted().is_empty());
+        assert_eq!(acc, Access::Fault { evicted: None });
     }
 
     #[test]

@@ -6,26 +6,31 @@
 pub type PageId = u64;
 
 /// Result of a single page access under fetch-on-fault semantics.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Access {
     /// The page was already cached; no cost.
     Hit,
-    /// The page was fetched (cost 1); `evicted` lists pages removed to make
-    /// room. For most policies this has length 0 (cache not yet full) or 1;
-    /// flush-when-full may evict many at once.
-    Fault { evicted: Vec<PageId> },
+    /// The page was fetched (cost 1); `evicted` is the page removed to make
+    /// room (`None` while the cache fills up). Every policy here evicts at
+    /// most one page per fault.
+    Fault {
+        /// Page evicted to make room, if the cache was full.
+        evicted: Option<PageId>,
+    },
 }
 
 impl Access {
     /// Whether this access was a fault.
-    pub fn is_fault(&self) -> bool {
+    #[inline]
+    pub fn is_fault(self) -> bool {
         matches!(self, Access::Fault { .. })
     }
 
-    /// Evicted pages (empty slice on a hit).
-    pub fn evicted(&self) -> &[PageId] {
+    /// The evicted page (`None` on a hit or a fault into free room).
+    #[inline]
+    pub fn evicted(self) -> Option<PageId> {
         match self {
-            Access::Hit => &[],
+            Access::Hit => None,
             Access::Fault { evicted } => evicted,
         }
     }
@@ -63,8 +68,8 @@ pub trait PagingPolicy {
     fn cached_pages(&self) -> Vec<PageId>;
 
     /// Evicts `page` if cached, returning whether it was. Policies that keep
-    /// auxiliary state must stay consistent. Used by callers that prune
-    /// caches externally (e.g. R-BMA's strict-invariant mode).
+    /// auxiliary state must stay consistent. Only the tests call it: R-BMA's
+    /// strict mode drops the matching edge and leaves the caches alone.
     fn invalidate(&mut self, page: PageId) -> bool;
 }
 
@@ -75,11 +80,10 @@ mod tests {
     #[test]
     fn access_inspectors() {
         assert!(!Access::Hit.is_fault());
-        assert!(Access::Hit.evicted().is_empty());
-        let f = Access::Fault {
-            evicted: vec![3, 4],
-        };
+        assert_eq!(Access::Hit.evicted(), None);
+        let f = Access::Fault { evicted: Some(3) };
         assert!(f.is_fault());
-        assert_eq!(f.evicted(), &[3, 4]);
+        assert_eq!(f.evicted(), Some(3));
+        assert_eq!(Access::Fault { evicted: None }.evicted(), None);
     }
 }

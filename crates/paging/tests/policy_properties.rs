@@ -2,26 +2,14 @@
 //! model invariants of fetch-on-fault paging must hold on arbitrary request
 //! sequences, interleaved with arbitrary invalidations.
 
-use dcn_paging::{
-    Belady, Clock, Fifo, Fwf, Lfu, Lru, Marking, NoisyOracle, PageId, PagingPolicy,
-    PredictiveMarking, RandomEvict, Slru,
-};
+use dcn_paging::{Belady, DenseMarking, Lru, Marking, PageId, PagingPolicy};
 use proptest::prelude::*;
 
 fn policies(cap: usize, seq: &[PageId]) -> Vec<(&'static str, Box<dyn PagingPolicy>)> {
     vec![
         ("lru", Box::new(Lru::new(cap))),
-        ("fifo", Box::new(Fifo::new(cap))),
-        ("fwf", Box::new(Fwf::new(cap))),
-        ("lfu", Box::new(Lfu::new(cap))),
-        ("clock", Box::new(Clock::new(cap))),
-        ("slru", Box::new(Slru::new(cap, 0.5))),
         ("marking", Box::new(Marking::new(cap, 42))),
-        ("random", Box::new(RandomEvict::new(cap, 42))),
-        (
-            "predictive",
-            Box::new(PredictiveMarking::new(cap, NoisyOracle::new(seq, 0.5, 7))),
-        ),
+        ("dense", Box::new(DenseMarking::new(cap, 20, 42))),
         ("belady", Box::new(Belady::new(cap, seq))),
     ]
 }
@@ -46,7 +34,7 @@ proptest! {
                 // Capacity.
                 prop_assert!(policy.len() <= cap, "{}: capacity exceeded", name);
                 // Evicted pages are gone and were distinct from the request.
-                for &e in acc.evicted() {
+                if let Some(e) = acc.evicted() {
                     prop_assert!(!policy.contains(e), "{}: evicted page still cached", name);
                     prop_assert!(e != p, "{}: evicted the requested page", name);
                 }
@@ -116,7 +104,7 @@ proptest! {
             // diverge after the first eviction, but the total fault count
             // stays within the phase bound — here we only check the strong
             // property for the deterministic ones.
-            if !matches!(name, "marking" | "random" | "predictive") {
+            if !matches!(name, "marking" | "dense") {
                 prop_assert_eq!(&first, &second, "{}: replay after reset differs", name);
             }
         }

@@ -36,10 +36,8 @@ pub mod builders;
 pub mod distance;
 pub mod graph;
 pub mod pair;
-pub mod routing;
 
 pub use builders::Network;
 pub use distance::DistanceMatrix;
 pub use graph::{Graph, GraphBuilder, NodeId};
 pub use pair::{Pair, PairTable};
-pub use routing::{EcmpRouter, LinkLoads, SpDag};

@@ -620,8 +620,8 @@ impl TraceSpec {
 
     /// The eager trace this spec describes: borrowed for
     /// [`Materialized`](TraceSpec::Materialized), generated otherwise.
-    /// Offline algorithms (SO-BMA, prediction oracles) go through this; the
-    /// online path never should.
+    /// The offline baseline (SO-BMA) goes through this; the online path
+    /// never should.
     pub fn as_trace(&self) -> Cow<'_, Trace> {
         match self {
             TraceSpec::Materialized(t) => Cow::Borrowed(&**t),

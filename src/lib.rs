@@ -9,9 +9,10 @@
 //! system inventory and experiment index.
 //!
 //! * [`topology`] — fixed networks (fat-tree, Clos, star, …) + distances.
-//! * [`paging`] — (b,a)-paging algorithms incl. randomized marking.
-//! * [`matching`] — b-matching structures, blossom max-weight matching,
-//!   edge coloring.
+//! * [`paging`] — (b,a)-paging: randomized marking (R-BMA's per-rack
+//!   cache), LRU and Belady for the §2.4 separation, and its adversaries.
+//! * [`matching`] — b-matching structures, LRU recency, blossom
+//!   max-weight matching.
 //! * [`demand`] — traffic matrices, temporal matrix sequences, and
 //!   demand-aware static baselines (COUDER-style).
 //! * [`traces`] — synthetic datacenter workloads + trace statistics.

@@ -1,21 +1,18 @@
-//! Smoke tests mirroring the core path of each of the seven `examples/`
-//! binaries, at reduced scale, through the `rdcn::` facade — so a facade
-//! re-export drifting away from the crates (or an example's pipeline
-//! breaking) fails `cargo test` instead of surfacing only when someone runs
-//! the example. CI additionally runs the example binaries themselves; these
-//! tests keep the coverage inside the tier-1 command.
+//! Smoke tests mirroring the core path of each `examples/` binary, at
+//! reduced scale, through the `rdcn::` facade — so a facade re-export
+//! drifting away from the crates (or an example's pipeline breaking) fails
+//! `cargo test` instead of surfacing only when someone runs the example.
+//! CI additionally runs the example binaries themselves; these tests keep
+//! the coverage inside the tier-1 command.
 
 use rdcn::core::algorithms::rbma::{Rbma, RemovalMode};
 use rdcn::core::algorithms::static_offline::{so_bma_matching, static_routing_cost};
 use rdcn::core::algorithms::AlgorithmKind;
-use rdcn::core::analysis::link_load_comparison;
 use rdcn::core::sweep::{run_jobs, Job};
-use rdcn::core::{run, OnlineScheduler, SimConfig};
-use rdcn::matching::coloring::{assign_switches, validate_coloring};
-use rdcn::matching::edge_coloring;
+use rdcn::core::{run, SimConfig};
 use rdcn::paging::adversary::{uniform_sequence, Chaser};
 use rdcn::paging::{run_policy, Belady, Lru, Marking};
-use rdcn::topology::{builders, DistanceMatrix, Pair};
+use rdcn::topology::{builders, DistanceMatrix};
 use rdcn::traces::{
     facebook_cluster_source, facebook_cluster_trace, hotspot_trace, microsoft_trace, uniform_trace,
     zipf_pair_trace, FacebookCluster, MicrosoftParams, RequestSource, TraceSpec, TraceStats,
@@ -128,70 +125,6 @@ fn adversarial_gap_core_path() {
     // Layer 2 of the example (star-of-pairs nemesis table).
     let table = dcn_bench::lower_bound_gap(0.25, 0, rdcn::core::sweep::ShardSpec::full());
     assert!(!table.to_markdown().is_empty());
-}
-
-/// `examples/link_load.rs`: final-matching link loads under ECMP.
-#[test]
-fn link_load_core_path() {
-    let racks = 16;
-    let (b, alpha) = (4, 10);
-    let net = builders::fat_tree_with_racks(racks);
-    let dm = Arc::new(DistanceMatrix::between_racks(&net));
-    let trace = facebook_cluster_trace(FacebookCluster::Database, racks, 6_000, 3);
-
-    let mut s = AlgorithmKind::Rbma { lazy: true }.build_online(dm.clone(), b, alpha, 1);
-    run(
-        s.as_mut(),
-        &dm,
-        alpha,
-        &trace.requests,
-        &SimConfig::default(),
-    );
-    let matching: Vec<Pair> = s.matching().edges().collect();
-    assert!(!matching.is_empty());
-
-    let cmp = link_load_comparison(&net, &trace.requests, &matching);
-    assert!(cmp.with_matching.optical_traffic > 0.0);
-    assert!(
-        cmp.with_matching.fixed_hop_traffic < cmp.oblivious.fixed_hop_traffic,
-        "a non-empty matching must offload fixed-network hop traffic"
-    );
-}
-
-/// `examples/switch_scheduling.rs`: R-BMA matching → edge coloring → switches.
-#[test]
-fn switch_scheduling_core_path() {
-    let racks = 16;
-    let (b, alpha) = (4, 10);
-    let net = builders::fat_tree_with_racks(racks);
-    let dm = Arc::new(DistanceMatrix::between_racks(&net));
-    let trace = facebook_cluster_trace(FacebookCluster::WebService, racks, 6_000, 5);
-
-    let mut rbma = Rbma::new(dm.clone(), b, alpha, RemovalMode::Lazy, 3);
-    run(
-        &mut rbma,
-        &dm,
-        alpha,
-        &trace.requests,
-        &SimConfig::default(),
-    );
-    let matching: Vec<Pair> = rbma.matching().edges().collect();
-    assert!(!matching.is_empty());
-
-    let colors = edge_coloring(racks, &matching);
-    let used = validate_coloring(&matching, &colors).expect("coloring is proper");
-    assert!(used as usize <= b + 1, "Vizing bound violated");
-
-    let switches = assign_switches(racks, &matching);
-    for (s, edges) in switches.iter().enumerate() {
-        let mut seen = std::collections::HashSet::new();
-        for e in edges {
-            assert!(
-                seen.insert(e.lo()) && seen.insert(e.hi()),
-                "switch {s} carries a non-matching"
-            );
-        }
-    }
 }
 
 /// `examples/demand_drift.rs`: demand-aware static design vs drifting

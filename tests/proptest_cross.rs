@@ -42,7 +42,7 @@ proptest! {
             AlgorithmKind::Rbma { lazy },
             AlgorithmKind::Bma,
         ] {
-            let mut s = algorithm.build_with_trace(dm.clone(), b, alpha, seed, &trace.requests);
+            let mut s = algorithm.build_online(dm.clone(), b, alpha, seed);
             let config = SimConfig { verify_every: 97, ..Default::default() };
             let report = run(s.as_mut(), &dm, alpha, &trace.requests, &config);
             s.matching().assert_valid();
