@@ -147,9 +147,11 @@ impl CorpusEntry {
 
     /// Parses [`CorpusEntry::to_json`] output back. An entry [`verify`]
     /// could not replay is an `Err` naming the field: an unknown tag,
-    /// `b` outside `1..num_racks`, `alpha` below 1 (or above `u32::MAX`,
-    /// R-BMA's period counter, for the R-BMA tags), or a genome over a
-    /// different rack count.
+    /// `b` outside `1..num_racks`, `alpha` outside `1..=u32::MAX`, or a
+    /// genome over a different rack count. The α bound is R-BMA's period
+    /// counter, and for every tag it keeps the replay's reconfiguration
+    /// cost `alpha · reconfigurations` within a `u64` below 2³²
+    /// reconfigurations.
     ///
     /// [`verify`]: CorpusEntry::verify
     pub fn from_json(text: &str) -> Result<CorpusEntry, String> {
@@ -198,7 +200,7 @@ impl CorpusEntry {
     /// The ranges [`CorpusEntry::verify`]'s replay needs to run without a
     /// panic or an oversized allocation.
     fn check_replayable(&self) -> Result<(), String> {
-        let kind = parse_kind(&self.algorithm).ok_or_else(|| {
+        parse_kind(&self.algorithm).ok_or_else(|| {
             format!(
                 "corpus entry: field algorithm = {:?} is not a known tag",
                 self.algorithm
@@ -210,14 +212,11 @@ impl CorpusEntry {
                 self.b, self.num_racks
             ));
         }
-        let max_alpha = match kind {
-            AlgorithmKind::Rbma { .. } => u64::from(u32::MAX),
-            _ => u64::MAX,
-        };
-        if !(1..=max_alpha).contains(&self.alpha) {
+        if !(1..=u64::from(u32::MAX)).contains(&self.alpha) {
             return Err(format!(
-                "corpus entry: field alpha = {} not in 1..={max_alpha} for {}",
-                self.alpha, self.algorithm
+                "corpus entry: field alpha = {} not in 1..={}",
+                self.alpha,
+                u32::MAX
             ));
         }
         if self.genome.num_racks != self.num_racks {
@@ -298,6 +297,7 @@ mod tests {
     fn from_json_rejects_entries_replay_cannot_run() {
         let read = |name: &str| std::fs::read_to_string(corpus_dir().join(name)).unwrap();
         let (rotor, rbma) = (read("rotor_50.json"), read("rbma_lazy.json"));
+        let periodic = read("periodic_100.json");
         let mangle = |text: &str, from: &str, to: &str| {
             assert_eq!(text.matches(from).count(), 1, "{from} must occur once");
             text.replacen(from, to, 1)
@@ -311,6 +311,14 @@ mod tests {
             (&rotor, r#""alpha":10,"#, r#""alpha":0,"#, "alpha"),
             (&rbma, r#""alpha":10,"#, r#""alpha":0,"#, "alpha"),
             (&rbma, r#""alpha":10,"#, r#""alpha":4294967296,"#, "alpha"),
+            (&rotor, r#""alpha":10,"#, r#""alpha":4294967296,"#, "alpha"),
+            // 2⁶²: `alpha · reconfigurations` overflowed in replay.
+            (
+                &periodic,
+                r#""alpha":10,"#,
+                r#""alpha":4611686018427387904,"#,
+                "alpha",
+            ),
             (
                 &rotor,
                 r#"8,"segments""#,
@@ -321,10 +329,10 @@ mod tests {
             let err = CorpusEntry::from_json(&mangle(text, from, to)).unwrap_err();
             assert!(err.contains(&format!("field {field} = ")), "{to}: {err}");
         }
-        // The bounds are inclusive, and the u32 bound is R-BMA's alone.
+        // The bounds are inclusive, and the u32 bound holds for every tag.
         for (text, from, to) in [
             (&rbma, r#""alpha":10,"#, r#""alpha":4294967295,"#),
-            (&rotor, r#""alpha":10,"#, r#""alpha":4294967296,"#),
+            (&rotor, r#""alpha":10,"#, r#""alpha":4294967295,"#),
             (&rotor, r#""b":2,"#, r#""b":7,"#),
         ] {
             CorpusEntry::from_json(&mangle(text, from, to)).expect("in-range entry loads");

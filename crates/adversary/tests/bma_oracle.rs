@@ -1,9 +1,10 @@
 //! Tier-1 oracle check for BMA: the production scheduler ([`Bma`]: flat
-//! intrusive LRU, pair-table slots and counters) and its reference
-//! ([`BmaBTree`]: per-rack `BTreeMap` recency and `FxHashMap` counters,
-//! sharing no store with it) must produce identical `RunReport`s, every
-//! field except wall-clock time, on the `scaling` target's standard point
-//! and on every committed corpus genome at that entry's own b and α.
+//! intrusive LRU and pair-table counters) and its reference ([`BmaBTree`]:
+//! per-rack `BTreeMap` recency and `FxHashMap` counters) must produce
+//! identical `RunReport`s, every field except wall-clock time, on the
+//! `scaling` target's standard point and on every committed corpus genome
+//! at that entry's own b and α. The two share only `BMatching`; the
+//! reference decides hits and removals from its own recency map.
 
 use dcn_adversary::committed_entries;
 use dcn_adversary::search::search_topology;

@@ -41,7 +41,8 @@
 //!               (round-robin by row index; seeds unchanged). With --json,
 //!               writes BENCH_<target>.shard-I-of-M.json for --merge-json.
 //!               Table targets only — figure targets have no mergeable
-//!               artifact.
+//!               artifact. demand's worst-case panel is not split: shard 0
+//!               runs it whole and writes BENCH_demand-worst-case.json.
 //! --out DIR     also write each panel as CSV into DIR
 //! --json DIR    also write each table target as BENCH_<target>.json into DIR
 //!               (machine-readable summaries, e.g. CI's BENCH_demand.json)
@@ -426,13 +427,15 @@ fn main() {
                     json_dir.as_deref(),
                 );
                 // The demand target carries the standing worst-case panel
-                // too (unsharded runs only: the panel is not part of the
-                // mergeable per-shard BENCH json).
-                if id == "demand" && shard_spec.is_full() {
+                // too. It is not split across shards: shard 0 runs it
+                // whole (so the shards' merged telemetry matches an
+                // unsharded run's) and writes it under the unsharded name,
+                // which --merge-json never reads.
+                if id == "demand" && shard_spec.index() == 0 {
                     print_table(
                         "demand-worst-case",
                         worst_case_panel(),
-                        shard_spec,
+                        ShardSpec::full(),
                         out_dir.as_deref(),
                         json_dir.as_deref(),
                     );

@@ -23,13 +23,17 @@
 //! sensitive to `b` than R-BMA, the effect §3.2 reports. The upkeep itself
 //! is O(1): the recency index is a flat intrusive LRU threaded through
 //! the matching's fixed-stride adjacency
-//! ([`dcn_matching::recency::LruBMatching`] — a hit is one pair-table load
-//! plus two list splices, eviction a head read), and the rent counters are
-//! a [`PairTable`], so a miss is one load plus an add. The algorithm is
+//! ([`dcn_matching::recency::LruBMatching`] — a hit is one load of the
+//! matching's position index plus two list splices, eviction a head read,
+//! and a buy or an eviction scans no block), and the rent counters are a
+//! [`PairTable`], so a miss is one load plus an add. The algorithm is
 //! generic over both stores ([`BmaWith`]); [`BmaBTree`] instantiates it over
 //! the historical per-rack `BTreeMap` recency and hashed counters as the
-//! equivalence oracle, sharing no store with [`Bma`] — same victims, same
-//! reports, pinned by tests (`batch_equivalence.rs` and `bma_oracle.rs`).
+//! equivalence oracle. The two share only [`BMatching`], position index
+//! included; the oracle decides hits and removals from its own recency
+//! map, so a stale index entry still shows as a divergence — same victims,
+//! same reports, pinned by tests (`batch_equivalence.rs` and
+//! `bma_oracle.rs`).
 
 use crate::scheduler::{BatchOutcome, OnlineScheduler, ServeOutcome};
 use dcn_matching::{BMatching, BTreeRecencyMatching, LruBMatching, RecencyMatching};

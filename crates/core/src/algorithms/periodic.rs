@@ -12,7 +12,9 @@
 //! ([`dcn_matching::recency::LruBMatching`]) was evaluated here and not
 //! adopted — this scheduler keeps a demand *count* window (`window`) and
 //! never asks which edge is least recently used, so an LRU overlay would
-//! be dead weight on its hot path.
+//! be dead weight on its hot path. Its per-request membership probe and
+//! its rebuild's removals are one load of [`BMatching`]'s position index
+//! each, with no block scan.
 
 use crate::scheduler::{OnlineScheduler, ServeOutcome};
 use dcn_matching::{greedy_b_matching, BMatching, WeightedEdge};

@@ -27,13 +27,14 @@
 //! draw-for-draw identical to the generic `Marking` — and the Theorem-1
 //! counters cache `k_e` alongside the count in a [`PairTable`] (a flat
 //! pair-indexed array at paper scale), so the common (ordinary-request)
-//! path is one bit probe of the flat matching mirror plus one indexed
+//! path is one load of [`BMatching`]'s position index plus one indexed
 //! counter bump, with no division and no hash traffic. The batched entry
 //! point ([`OnlineScheduler::serve_batch`]) is that path as one fused loop
 //! with inline routing accounting; only special requests drop into the
 //! Theorem-2 slow path, and a matched, unmarked special skips even that
 //! (both cache touches are known hits). Above [`DENSE_RACK_LIMIT`] racks
-//! the flat stores fall back to hash containers, with identical results.
+//! every [`PairTable`] (the counters, the lazy `marked` set and the
+//! matching's index) falls back to hashing, with identical results.
 //!
 //! [`DENSE_RACK_LIMIT`]: dcn_topology::pair::DENSE_RACK_LIMIT
 
@@ -41,10 +42,8 @@ use crate::scheduler::{BatchOutcome, OnlineScheduler, ServeOutcome};
 use dcn_matching::BMatching;
 use dcn_paging::{Access, DenseMarking, PagingPolicy};
 use dcn_telemetry::{Counter, Telemetry};
-use dcn_topology::pair::dense_pair_ids;
 use dcn_topology::{DistanceMatrix, NodeId, Pair, PairTable};
 use dcn_util::rngx::derive_seed;
-use dcn_util::FxHashSet;
 use std::sync::Arc;
 
 /// How evictions from the per-node caches translate to matching removals.
@@ -78,16 +77,8 @@ pub struct Rbma {
     /// partner rack ids — a dense universe, hence the flat layout.
     caches: Vec<DenseMarking>,
     matching: BMatching,
-    /// Mirror of `matching`'s edge set (kept in lockstep by the three
-    /// mutation sites below): turns the per-eviction "is the victim
-    /// edge matched?" test and the per-request entry probe into one bit
-    /// test instead of an adjacency scan.
-    matched_set: DensePairSet,
-    /// Lazy mode: edges marked for removal but still carried in `M`
-    /// (dense bitmap up to [`DENSE_RACK_LIMIT`] racks, hash set beyond).
-    ///
-    /// [`DENSE_RACK_LIMIT`]: dcn_topology::pair::DENSE_RACK_LIMIT
-    marked: DensePairSet,
+    /// Lazy mode: edges marked for removal but still carried in `M`.
+    marked: PairTable<bool>,
     /// Local event recorders, drained by `telemetry_flush` (only the
     /// rare slow paths pay a bump; ordinary requests record nothing).
     stats: RbmaStats,
@@ -133,8 +124,7 @@ impl Rbma {
             counters: PairTable::new(n),
             caches,
             matching: BMatching::new(n, b),
-            matched_set: DensePairSet::new(n),
-            marked: DensePairSet::new(n),
+            marked: PairTable::new(n),
             stats: RbmaStats::default(),
         }
     }
@@ -190,15 +180,13 @@ impl Rbma {
             let gone = Pair::new(node, evicted_page as NodeId);
             match self.mode {
                 RemovalMode::Strict => {
-                    if self.matched_set.remove(gone) {
-                        let present = self.matching.remove(gone);
-                        debug_assert!(present, "matched_set out of sync at {gone}");
+                    if self.matching.remove(gone) {
                         removed += 1;
                     }
                 }
                 RemovalMode::Lazy => {
-                    if self.matched_set.contains(gone) {
-                        self.marked.insert(gone);
+                    if self.matching.contains(gone) {
+                        self.marked.set(gone, true);
                     }
                 }
             }
@@ -215,11 +203,10 @@ impl Rbma {
                 .incident_edges(node)
                 .iter()
                 .copied()
-                .find(|&e| self.marked.contains(e))
+                .find(|&e| self.marked.get(e))
                 .expect("lazy R-BMA: a full node must carry a marked edge");
             self.matching.remove(victim);
-            self.matched_set.remove(victim);
-            self.marked.remove(victim);
+            self.marked.set(victim, false);
             removed += 1;
         }
         removed
@@ -231,7 +218,7 @@ impl Rbma {
     /// Returns `(added, removed)`.
     fn serve_special(&mut self, pair: Pair, matched: bool) -> (u32, u32) {
         self.stats.specials.bump();
-        if matched && !self.marked.contains(pair) {
+        if matched && !self.marked.get(pair) {
             // Fast gate. Superset invariant: a matched, unmarked pair is
             // cached at both endpoints (strict mode evicts the edge with
             // the page; lazy mode marks it), so both touches are pure
@@ -261,123 +248,20 @@ impl Rbma {
                 removed += self.prune_marked_at(v);
             }
             self.matching.insert(pair);
-            self.matched_set.insert(pair);
             added = 1;
             // An unmatched pair is never marked (marked ⊆ M), so the
             // matched branch's "alive again" unmark has nothing to do.
         } else {
             // A re-requested edge is alive again.
-            self.marked.remove(pair);
+            self.marked.set(pair, false);
         }
         (added, removed)
-    }
-
-    /// Number of edges currently marked for (lazy) removal.
-    pub fn marked_count(&self) -> usize {
-        self.marked.len()
-    }
-
-    /// The removal mode this instance runs with.
-    pub fn mode(&self) -> RemovalMode {
-        self.mode
     }
 
     /// The per-rack cache of `node` (tests and analysis).
     #[cfg(test)]
     fn cache(&self, node: NodeId) -> &DenseMarking {
         &self.caches[node as usize]
-    }
-}
-
-/// A pair set the specials slow path can probe in one bit test. Up to
-/// [`DENSE_RACK_LIMIT`] racks it is a flat pair-id bitmap — L1-resident
-/// at paper scale — and only beyond that a hash set. Used for the
-/// lazy-removal `marked` set (hit on every eviction, every prune scan
-/// — up to `b` membership probes per freed slot — and every matched
-/// re-request) and as a mirror of the matching's edge set (so the
-/// per-eviction "is the victim edge matched?" test and the unbatched
-/// entry probe skip [`BMatching`]'s bounded adjacency scan). `len` is
-/// tracked so [`Rbma::marked_count`] stays O(1).
-///
-/// [`DENSE_RACK_LIMIT`]: dcn_topology::pair::DENSE_RACK_LIMIT
-struct DensePairSet {
-    /// Rack count of the dense id space; 0 = hash representation.
-    n: usize,
-    len: usize,
-    /// Dense representation: bit `lo·n + hi` ⇔ pair marked.
-    bits: Vec<u64>,
-    /// Sparse fallback for rack counts above the dense gate.
-    hash: FxHashSet<Pair>,
-}
-
-impl DensePairSet {
-    fn new(n: usize) -> Self {
-        let dense = dense_pair_ids(n);
-        Self {
-            n: if dense { n } else { 0 },
-            len: 0,
-            bits: if dense {
-                vec![0; (n * n).div_ceil(64)]
-            } else {
-                Vec::new()
-            },
-            hash: FxHashSet::default(),
-        }
-    }
-
-    #[inline]
-    fn id(&self, pair: Pair) -> usize {
-        pair.lo() as usize * self.n + pair.hi() as usize
-    }
-
-    #[inline]
-    fn contains(&self, pair: Pair) -> bool {
-        if self.n != 0 {
-            let i = self.id(pair);
-            self.bits[i >> 6] >> (i & 63) & 1 != 0
-        } else {
-            self.hash.contains(&pair)
-        }
-    }
-
-    /// Inserts `pair`; returns whether it was newly marked.
-    #[inline]
-    fn insert(&mut self, pair: Pair) -> bool {
-        if self.n != 0 {
-            let i = self.id(pair);
-            let word = &mut self.bits[i >> 6];
-            let bit = 1u64 << (i & 63);
-            let fresh = *word & bit == 0;
-            *word |= bit;
-            self.len += fresh as usize;
-            fresh
-        } else {
-            let fresh = self.hash.insert(pair);
-            self.len += fresh as usize;
-            fresh
-        }
-    }
-
-    /// Removes `pair`; returns whether it was marked.
-    #[inline]
-    fn remove(&mut self, pair: Pair) -> bool {
-        if self.n != 0 {
-            let i = self.id(pair);
-            let word = &mut self.bits[i >> 6];
-            let bit = 1u64 << (i & 63);
-            let was = *word & bit != 0;
-            *word &= !bit;
-            self.len -= was as usize;
-            was
-        } else {
-            let was = self.hash.remove(&pair);
-            self.len -= was as usize;
-            was
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.len
     }
 }
 
@@ -408,7 +292,7 @@ impl OnlineScheduler for Rbma {
     }
 
     fn serve(&mut self, pair: Pair) -> ServeOutcome {
-        let was_matched = self.matched_set.contains(pair);
+        let was_matched = self.matching.contains(pair);
         if !self.bump_counter(pair) {
             return ServeOutcome {
                 was_matched,
@@ -425,14 +309,14 @@ impl OnlineScheduler for Rbma {
     }
 
     /// Batched serve, one fused loop: the ordinary-request fast path — one
-    /// flat membership probe, one counter bump, fused routing accounting
+    /// membership load, one counter bump, fused routing accounting
     /// — runs without per-request dispatch; only special requests drop
     /// into the Theorem-2 slow path.
     fn serve_batch(&mut self, batch: &[Pair], dm: &DistanceMatrix, acc: &mut BatchOutcome) {
         let mut matched = 0u64;
         let mut routing = 0u64;
         for &pair in batch {
-            let was_matched = self.matched_set.contains(pair);
+            let was_matched = self.matching.contains(pair);
             matched += was_matched as u64;
             // Read `ℓ_e` unconditionally so the cost is a select, not a
             // branch: whether a request hits the matching is hard to
@@ -584,7 +468,7 @@ mod tests {
                 let in_both = r.cache(e.lo()).contains(e.hi() as u64)
                     && r.cache(e.hi()).contains(e.lo() as u64);
                 assert!(
-                    in_both || r.marked.contains(e),
+                    in_both || r.marked.get(e),
                     "unmarked edge {e} outside cache intersection"
                 );
             }

@@ -11,8 +11,9 @@
 //! check that specials fired), checkpoints that land inside batches,
 //! verification boundaries coprime to the batch size, rotor rotation
 //! boundaries inside chunks, BMA against its `BmaBTree` oracle, and R-BMA
-//! and BMA above `DENSE_RACK_LIMIT` racks, where their pair tables and
-//! pair sets fall back to hashing.
+//! and BMA above `DENSE_RACK_LIMIT` racks, where every `PairTable` (their
+//! counters, R-BMA's marked set and the matching's position index) falls
+//! back to hashing.
 
 use dcn_core::algorithms::bma::{Bma, BmaBTree};
 use dcn_core::algorithms::oblivious::Oblivious;
@@ -360,8 +361,8 @@ fn pinned_specials_heavy_corners() {
     check_specials_heavy(6, 450, 3, 512, 2, 2);
 }
 
-/// Above `DENSE_RACK_LIMIT` racks R-BMA's counter store, matching mirror
-/// and marked set, and BMA's slot and counter tables, are hash containers.
+/// Above `DENSE_RACK_LIMIT` racks R-BMA's counters and marked set, BMA's
+/// counters, and `BMatching`'s position index are hash containers.
 /// Batched serving there must still equal the per-request reference (for
 /// BMA, its `BmaBTree` oracle), keep the degree bound at every
 /// verification point, and actually reconfigure.

@@ -3,22 +3,24 @@
 //! Invariant (§1.1): every node has at most `b` incident matching edges.
 //! The structure is a **flat, index-addressed layout**: one degree counter
 //! per node plus a fixed-stride adjacency array (node `v`'s incident edges
-//! live in the contiguous block `v·b .. v·b + degree[v]`). Membership is a
-//! linear scan of one node's block — at most `b` packed-`u64` compares over
-//! a single cache line or two for paper-scale `b`, with no hashing and no
-//! pointer chasing — and insert/remove are O(b) writes into the same block,
-//! so the batched serve loops stay branch-light and allocation-free.
+//! live in the contiguous block `v·b .. v·b + degree[v]`), and a
+//! [`PairTable`] that names each matched edge's position in both of its
+//! blocks. Membership is one load of that table and removal goes straight
+//! to the two known positions, so no operation scans a block, hashes (up
+//! to [`DENSE_RACK_LIMIT`] racks) or allocates.
 //!
-//! Removal uses swap-remove within a node's block, so the per-node incident
-//! *order evolution* (append on insert, swap-with-last on remove) is
-//! exactly what the previous `IndexedSet`-backed layout produced — callers
-//! that scan `incident_edges` for a victim (R-BMA's lazy prune) pick the
-//! same victims as before the flattening.
+//! Insert appends to both blocks and removal swap-removes (the block's
+//! last edge fills the hole, and its table entry follows). That order
+//! evolution is part of the contract: callers that scan `incident_edges`
+//! for a victim (R-BMA's lazy prune) and BMA's LRU, whose list slots are
+//! block positions, depend on it.
 //!
 //! The surface covers both R-BMA's lazy-removal mode (callers pick which
 //! incident edge to prune) and BMA's counter-driven evictions.
+//!
+//! [`DENSE_RACK_LIMIT`]: dcn_topology::pair::DENSE_RACK_LIMIT
 
-use dcn_topology::{NodeId, Pair};
+use dcn_topology::{NodeId, Pair, PairTable};
 
 /// Filler for adjacency slots beyond a node's degree; never read.
 #[inline]
@@ -48,6 +50,10 @@ pub struct BMatching {
     /// Fixed-stride adjacency: node `v`'s incident edges occupy
     /// `incident[v * cap .. v * cap + degree[v]]`.
     incident: Vec<Pair>,
+    /// Each matched edge's position in its `lo` and its `hi` block, each
+    /// stored plus one so that a present entry is never the table's
+    /// all-zero "absent"; unmatched pairs have no entry.
+    positions: PairTable<[u32; 2]>,
 }
 
 impl BMatching {
@@ -59,6 +65,7 @@ impl BMatching {
             len: 0,
             degree: vec![0; n],
             incident: vec![slot_filler(); n * b],
+            positions: PairTable::new(n),
         }
     }
 
@@ -89,11 +96,19 @@ impl BMatching {
         &self.incident[v * self.cap..v * self.cap + self.degree[v] as usize]
     }
 
-    /// Whether `pair` is a matching edge: one bounded scan of the `lo`
-    /// endpoint's block (≤ `b` packed-`u64` compares, no hashing).
+    /// Whether `pair` is a matching edge: one load of the position table.
     #[inline]
     pub fn contains(&self, pair: Pair) -> bool {
-        self.block(pair.lo()).contains(&pair)
+        self.positions.get(pair)[0] != 0
+    }
+
+    /// Where matching edge `pair` sits: its index in the `lo` endpoint's
+    /// [`incident_edges`](Self::incident_edges) and in the `hi` endpoint's;
+    /// `None` if `pair` is not a matching edge.
+    #[inline]
+    pub fn positions(&self, pair: Pair) -> Option<[usize; 2]> {
+        let [lo, hi] = self.positions.get(pair);
+        (lo != 0).then(|| [lo as usize - 1, hi as usize - 1])
     }
 
     /// Current number of matching edges incident to `v`.
@@ -109,12 +124,14 @@ impl BMatching {
             && self.degree(pair.hi()) < self.cap
     }
 
-    /// Appends `pair` to `v`'s block (caller checked cap and absence).
+    /// Appends `pair` to `v`'s block (caller checked cap and absence);
+    /// returns its position there plus one, as the table stores it.
     #[inline]
-    fn push_incident(&mut self, v: NodeId, pair: Pair) {
+    fn push_incident(&mut self, v: NodeId, pair: Pair) -> u32 {
         let v = v as usize;
         self.incident[v * self.cap + self.degree[v] as usize] = pair;
         self.degree[v] += 1;
+        self.degree[v]
     }
 
     /// Inserts `pair` if absent and within the cap; returns whether inserted.
@@ -122,8 +139,9 @@ impl BMatching {
         if !self.can_insert(pair) {
             return false;
         }
-        self.push_incident(pair.lo(), pair);
-        self.push_incident(pair.hi(), pair);
+        let lo = self.push_incident(pair.lo(), pair);
+        let hi = self.push_incident(pair.hi(), pair);
+        self.positions.set(pair, [lo, hi]);
         self.len += 1;
         true
     }
@@ -137,29 +155,29 @@ impl BMatching {
         );
     }
 
-    /// Swap-removes `pair` from `v`'s block; returns whether it was there.
+    /// Swap-removes position `pos` of `v`'s block: the block's last edge
+    /// fills the hole, and its table entry at `v` follows it there.
     #[inline]
-    fn remove_incident(&mut self, v: NodeId, pair: Pair) -> bool {
-        let v = v as usize;
-        let d = self.degree[v] as usize;
-        let block = &mut self.incident[v * self.cap..v * self.cap + d];
-        match block.iter().position(|&e| e == pair) {
-            None => false,
-            Some(slot) => {
-                block[slot] = block[d - 1];
-                self.degree[v] -= 1;
-                true
-            }
+    fn remove_incident(&mut self, v: NodeId, pos: usize) {
+        let base = v as usize * self.cap;
+        let d = &mut self.degree[v as usize];
+        *d -= 1;
+        let last = *d as usize;
+        if pos != last {
+            let moved = self.incident[base + last];
+            self.incident[base + pos] = moved;
+            self.positions.get_mut(moved)[(v == moved.hi()) as usize] = pos as u32 + 1;
         }
     }
 
     /// Removes `pair`; returns whether it was present.
     pub fn remove(&mut self, pair: Pair) -> bool {
-        if !self.remove_incident(pair.lo(), pair) {
+        let Some([lo, hi]) = self.positions(pair) else {
             return false;
-        }
-        let also = self.remove_incident(pair.hi(), pair);
-        debug_assert!(also, "adjacency blocks out of sync at {pair}");
+        };
+        self.remove_incident(pair.lo(), lo);
+        self.remove_incident(pair.hi(), hi);
+        self.positions.set(pair, [0, 0]);
         self.len -= 1;
         true
     }
@@ -176,13 +194,20 @@ impl BMatching {
             .flat_map(move |v| self.block(v).iter().copied().filter(move |p| p.lo() == v))
     }
 
-    /// Removes all edges.
+    /// Removes all edges, dropping each one's table entry.
     pub fn clear(&mut self) {
+        for (v, &d) in self.degree.iter().enumerate() {
+            let block = &self.incident[v * self.cap..v * self.cap + d as usize];
+            for &e in block.iter().filter(|e| e.lo() as usize == v) {
+                self.positions.set(e, [0, 0]);
+            }
+        }
         self.degree.fill(0);
         self.len = 0;
     }
 
-    /// Exhaustive invariant check (O(n·b)); used by tests and debug builds.
+    /// Exhaustive invariant check (O(n·b) plus one pass over the position
+    /// table); used by tests and debug builds.
     pub fn assert_valid(&self) {
         let mut counted = 0usize;
         for v in 0..self.degree.len() as NodeId {
@@ -190,19 +215,28 @@ impl BMatching {
             assert!(block.len() <= self.cap, "degree cap violated at {v}");
             for (i, &e) in block.iter().enumerate() {
                 assert!(e.contains(v), "foreign edge {e} in block of {v}");
-                assert!(
-                    !block[..i].contains(&e),
-                    "duplicate incident edge {e} at {v}"
-                );
-                let other = e.other(v);
-                assert!(
-                    self.block(other).contains(&e),
-                    "edge {e} missing from partner block at {other}"
+                assert_eq!(
+                    self.positions.get(e)[(v == e.hi()) as usize] as usize,
+                    i + 1,
+                    "position of {e} at {v} out of sync"
                 );
                 counted += 1;
             }
         }
         assert_eq!(counted, 2 * self.len, "edge count out of sync");
+        // Every table entry names its edge in both blocks; with the loop
+        // above, blocks and table hold the same edges, each once.
+        let mut entries = 0usize;
+        for (e, [lo, hi]) in self.positions.iter() {
+            for (v, pos) in [(e.lo(), lo), (e.hi(), hi)] {
+                assert!(
+                    pos != 0 && self.block(v).get(pos as usize - 1) == Some(&e),
+                    "table entry of {e} at {v} names no block slot"
+                );
+            }
+            entries += 1;
+        }
+        assert_eq!(entries, self.len, "position table holds stale entries");
     }
 }
 

@@ -8,15 +8,18 @@
 //!   A slab of list nodes with `prev`/`next` slot indices is threaded
 //!   per-endpoint through the *same fixed-stride adjacency layout*
 //!   [`BMatching`] already owns (edge at position `i` of rack `v`'s block
-//!   occupies slot `v·b + i`), and a [`PairTable`] keyed by pair id names
-//!   each matched edge's two slots, so membership and the list-node lookup
+//!   occupies slot `v·b + i`). [`BMatching::positions`] names each matched
+//!   edge's two block positions, so membership and the list-node lookup
 //!   are one load — no block scan, no allocation, no tree. A hit is that
 //!   load plus two O(1) list splices; the eviction victim is a head read.
 //! * [`BTreeRecencyMatching`] — the historical structure (one
-//!   `BTreeMap<stamp, Pair>` per rack plus a `stamp → pair` map), kept as
+//!   `BTreeMap<stamp, Pair>` per rack plus a `pair → stamp` map), kept as
 //!   the **reference oracle**: the equivalence proptests replay both side
 //!   by side and require identical victims, and `micro_batch`'s
 //!   `bma/recency_upkeep` point measures the flattening win against it.
+//!   It decides hits and removals from its own `pair → stamp` map, not
+//!   from [`BMatching`]'s index, so a stale index entry shows up as a
+//!   divergence instead of being shared by both sides.
 //!
 //! Victim equivalence argument: the B-tree orders a rack's incident edges
 //! by their last-touch stamp, drawn from a strictly increasing global
@@ -31,11 +34,11 @@
 //! Adoption survey (rest of the workspace): `periodic.rs` keeps a demand
 //! *count* window (no recency ordering), so it does not gain from this
 //! slab; R-BMA's marking caches sample uniformly (`DenseMarking`), which is
-//! already O(1). BMA is the only recency consumer, and it rides
-//! [`LruBMatching`].
+//! already O(1), and R-BMA reads membership from [`BMatching`] itself.
+//! BMA is the only recency consumer, and it rides [`LruBMatching`].
 
 use crate::BMatching;
-use dcn_topology::{NodeId, Pair, PairTable};
+use dcn_topology::{NodeId, Pair};
 use dcn_util::FxHashMap;
 use std::collections::BTreeMap;
 
@@ -76,11 +79,11 @@ pub trait RecencyMatching {
 ///
 /// Layout: edge at position `i` of rack `v`'s adjacency block owns list
 /// slot `v·b + i` in the `prev`/`next` slabs; `head[v]`/`tail[v]` bound
-/// rack `v`'s list (head = LRU victim, tail = MRU). A [`PairTable`] maps
-/// each matched edge to its slots at both endpoints, so finding an edge's
-/// list nodes is one load. [`BMatching`]'s swap-remove (last block entry
-/// fills the hole) is mirrored by relabeling the moved edge's list node
-/// and rewriting its table entry, so slots always track block positions.
+/// rack `v`'s list (head = LRU victim, tail = MRU). An edge's two
+/// positions come from [`BMatching::positions`], so finding its list
+/// nodes is one load. [`BMatching`]'s swap-remove (last block entry fills
+/// the hole) is mirrored by relabeling the moved edge's list node, so
+/// slots always track block positions.
 ///
 /// ```
 /// use dcn_matching::recency::{LruBMatching, RecencyMatching};
@@ -103,10 +106,6 @@ pub struct LruBMatching {
     head: Vec<u32>,
     /// Newest (MRU) slot per rack.
     tail: Vec<u32>,
-    /// Each matched edge's list slots at its `lo` and `hi` endpoint, each
-    /// stored plus one so that a present entry is never the table's
-    /// all-zero "absent"; unmatched pairs have no entry.
-    slots: PairTable<[u32; 2]>,
 }
 
 impl LruBMatching {
@@ -165,25 +164,11 @@ impl LruBMatching {
     }
 
     /// Exhaustive consistency check (tests/debug): list membership equals
-    /// block membership, orders are walkable from both ends, the pair
-    /// table names every matched edge's two slots and holds no other
-    /// pair, and the underlying matching invariant holds.
+    /// block membership, orders are walkable from both ends, and the
+    /// underlying matching invariant (its position index included) holds.
     pub fn assert_valid(&self) {
         self.matching.assert_valid();
-        for (pair, _) in self.slots.iter() {
-            assert!(
-                self.matching.contains(pair),
-                "unmatched pair {pair} has a pair-table entry"
-            );
-        }
         for v in 0..self.matching.num_racks() as NodeId {
-            for (pos, &e) in self.matching.incident_edges(v).iter().enumerate() {
-                assert_eq!(
-                    self.slots.get(e)[(v == e.hi()) as usize],
-                    self.slot(v, pos) + 1,
-                    "pair-table slot of {e} at {v} out of sync"
-                );
-            }
             let d = self.matching.degree(v);
             let base = v as usize * self.matching.cap();
             let mut seen = vec![false; d];
@@ -222,7 +207,6 @@ impl RecencyMatching for LruBMatching {
             next: vec![NIL; n * b],
             head: vec![NIL; n],
             tail: vec![NIL; n],
-            slots: PairTable::new(n),
         }
     }
 
@@ -234,11 +218,11 @@ impl RecencyMatching for LruBMatching {
     #[inline]
     fn touch_hit(&mut self, pair: Pair) -> bool {
         // The membership probe *is* the list-node lookup.
-        let [lo_slot, hi_slot] = self.slots.get(pair);
-        if lo_slot == 0 {
+        let Some([lo_pos, hi_pos]) = self.matching.positions(pair) else {
             return false;
-        }
-        for (v, slot) in [(pair.lo(), lo_slot - 1), (pair.hi(), hi_slot - 1)] {
+        };
+        for (v, pos) in [(pair.lo(), lo_pos), (pair.hi(), hi_pos)] {
+            let slot = self.slot(v, pos);
             if self.tail[v as usize] != slot {
                 self.unlink(v, slot);
                 self.push_mru(v, slot);
@@ -255,33 +239,23 @@ impl RecencyMatching for LruBMatching {
         self.matching.insert(pair);
         self.push_mru(u, su);
         self.push_mru(w, sw);
-        self.slots.set(pair, [su + 1, sw + 1]);
     }
 
     fn remove(&mut self, pair: Pair) -> bool {
-        let entry = self.slots.get(pair);
-        if entry[0] == 0 {
+        let Some(positions) = self.matching.positions(pair) else {
             return false;
-        }
-        for (end, v) in [pair.lo(), pair.hi()].into_iter().enumerate() {
-            let slot = entry[end] - 1;
-            let last_pos = self.matching.degree(v) - 1;
-            let last = self.slot(v, last_pos);
+        };
+        for (v, pos) in [pair.lo(), pair.hi()].into_iter().zip(positions) {
+            let slot = self.slot(v, pos);
+            let last = self.slot(v, self.matching.degree(v) - 1);
             self.unlink(v, slot);
             if slot != last {
                 // Mirror the swap-remove: the block's last edge moves into
-                // the hole, so its list node and its slot at `v` follow.
+                // the hole, so its list node follows.
                 self.relabel(v, last, slot);
-                let moved = self.matching.incident_edges(v)[last_pos];
-                self.slots.get_mut(moved)[(v == moved.hi()) as usize] = slot + 1;
             }
         }
-        self.slots.set(pair, [0, 0]);
-        let removed = self.matching.remove(pair);
-        debug_assert!(
-            removed,
-            "the pair table and the matching out of sync at {pair}"
-        );
+        self.matching.remove(pair);
         true
     }
 
@@ -408,11 +382,16 @@ impl RecencyMatching for BTreeRecencyMatching {
     }
 
     fn touch_hit(&mut self, pair: Pair) -> bool {
-        if !self.matching.contains(pair) {
-            return false;
+        let hit = self.recency.stamp_of.contains_key(&pair);
+        debug_assert_eq!(
+            hit,
+            self.matching.contains(pair),
+            "recency map and matching index disagree at {pair}"
+        );
+        if hit {
+            self.recency.touch(pair);
         }
-        self.recency.touch(pair);
-        true
+        hit
     }
 
     fn insert_mru(&mut self, pair: Pair) {
@@ -421,12 +400,13 @@ impl RecencyMatching for BTreeRecencyMatching {
     }
 
     fn remove(&mut self, pair: Pair) -> bool {
-        if !self.matching.remove(pair) {
-            return false;
-        }
         let tracked = self.recency.remove(pair);
-        debug_assert!(tracked, "matched edge missing from recency index");
-        true
+        let removed = self.matching.remove(pair);
+        debug_assert_eq!(
+            tracked, removed,
+            "recency map and matching index disagree at {pair}"
+        );
+        tracked
     }
 
     fn lru_edge(&self, v: NodeId) -> Option<Pair> {

@@ -7,8 +7,8 @@
 //! top of the `u64` range (where a stamp-based design is one overflow away
 //! from reordering, and the stamp-free list by construction is not), and
 //! on wide blocks (b up to 18 over 28 racks), where swap-removes move
-//! edges at their `lo` and at their `hi` endpoint and the flat structure's
-//! pair table must follow every move.
+//! edges at their `lo` and at their `hi` endpoint and the matching's
+//! position index must follow every move.
 
 use dcn_matching::recency::{BTreeRecencyMatching, LruBMatching, RecencyMatching};
 use dcn_topology::{NodeId, Pair};
@@ -98,7 +98,7 @@ fn assert_equivalent(flat: &LruBMatching, tree: &BTreeRecencyMatching, n: u32, s
 
 /// Replays `ops` through both structures over `n` racks at degree cap `b`,
 /// comparing them after every step and checking the flat structure's
-/// internal consistency (lists, blocks and pair table) along the way.
+/// internal consistency (lists, blocks and position index) along the way.
 fn replay(ops: &[Op], n: u32, b: usize) {
     let mut flat = LruBMatching::new(n as usize, b);
     let mut tree = BTreeRecencyMatching::new(n as usize, b);

@@ -60,16 +60,23 @@ proptest! {
     }
 
     #[test]
-    fn bmatching_model_based(ops in prop::collection::vec((0u32..10, 0u32..9, any::<bool>()), 1..200)) {
-        // Model: a reference HashSet + degree map mirrors BMatching.
+    fn bmatching_model_based(ops in prop::collection::vec((0u32..10, 0u32..9, 0u8..41), 1..200)) {
+        // Model: a reference HashSet + degree map mirrors BMatching. Op
+        // kind 0 (1 in 41) clears, odd kinds insert, other even kinds
+        // remove. After every op the position index must agree with the
+        // model on all 45 pairs, independently of BMatching's own check.
         let b = 2;
         let mut m = BMatching::new(10, b);
         let mut reference: std::collections::HashSet<Pair> = Default::default();
         let mut degree = [0usize; 10];
-        for (a, raw, insert) in ops {
+        for (a, raw, kind) in ops {
             let v = if raw >= a { raw + 1 } else { raw };
             let pair = Pair::new(a, v);
-            if insert {
+            if kind == 0 {
+                m.clear();
+                reference.clear();
+                degree = [0; 10];
+            } else if kind % 2 == 1 {
                 let expect = !reference.contains(&pair)
                     && degree[pair.lo() as usize] < b
                     && degree[pair.hi() as usize] < b;
@@ -88,10 +95,23 @@ proptest! {
                 prop_assert_eq!(m.remove(pair), expect);
             }
             prop_assert_eq!(m.len(), reference.len());
-        }
-        m.assert_valid();
-        for v in 0..10u32 {
-            prop_assert_eq!(m.degree(v), degree[v as usize]);
+            for lo in 0..10u32 {
+                for hi in lo + 1..10 {
+                    let p = Pair::new(lo, hi);
+                    prop_assert_eq!(m.contains(p), reference.contains(&p), "contains({})", p);
+                    match m.positions(p) {
+                        None => prop_assert!(!reference.contains(&p), "{} has no positions", p),
+                        Some([at_lo, at_hi]) => {
+                            prop_assert_eq!(m.incident_edges(lo).get(at_lo), Some(&p));
+                            prop_assert_eq!(m.incident_edges(hi).get(at_hi), Some(&p));
+                        }
+                    }
+                }
+            }
+            for v in 0..10u32 {
+                prop_assert_eq!(m.degree(v), degree[v as usize]);
+            }
+            m.assert_valid();
         }
     }
 }

@@ -13,8 +13,7 @@ use dcn_util::FxHashMap;
 ///
 /// Layout contract (audited for the batched serve path): `repr(transparent)`
 /// over the packed `u64`, so a `[Pair]` batch buffer is a flat `u64` array —
-/// equality is one integer compare, membership scans of adjacency blocks
-/// are branch-light sequential loads, and the accessors below compile to a
+/// equality is one integer compare, and the accessors below compile to a
 /// shift/mask each (all `#[inline]`, no bounds checks).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(transparent)]
@@ -90,10 +89,9 @@ impl std::fmt::Display for Pair {
 /// slots (8 MiB of 8-byte values at the limit) and hash instead.
 pub const DENSE_RACK_LIMIT: usize = 1024;
 
-/// Whether per-pair state over `n` racks lives in flat arrays indexed by
-/// pair id `lo·n + hi` rather than in hash containers. Every per-pair
-/// store decides here: [`PairTable`], and R-BMA's pair bitmaps.
-pub fn dense_pair_ids(n: usize) -> bool {
+/// Whether a [`PairTable`] over `n` racks is a flat array indexed by pair
+/// id `lo·n + hi` rather than a hash map.
+fn dense_pair_ids(n: usize) -> bool {
     (1..=DENSE_RACK_LIMIT).contains(&n)
 }
 
