@@ -329,6 +329,24 @@ mod tests {
             let err = CorpusEntry::from_json(&mangle(text, from, to)).unwrap_err();
             assert!(err.contains(&format!("field {field} = ")), "{to}: {err}");
         }
+        // Genome size bounds, checked before replay sizes anything by them:
+        // a rack count past the dense limit in both num_racks fields, and
+        // a star segment whose block_len × blocks overflows usize.
+        let huge_racks = mangle(
+            &mangle(&rotor, r#""num_racks":8,"b""#, r#""num_racks":1048576,"b""#),
+            r#"8,"segments""#,
+            r#"1048576,"segments""#,
+        );
+        let overflowing = rotor.replacen(
+            r#"{"Permutation":{"len":200,"#,
+            r#"{"StarBlocks":{"spokes":3,"block_len":4294967296,"blocks":4294967296,"#,
+            1,
+        );
+        assert_ne!(overflowing, rotor, "the star splice must apply");
+        for (text, field) in [(&huge_racks, "num_racks 1048576"), (&overflowing, "len")] {
+            let err = CorpusEntry::from_json(text).unwrap_err();
+            assert!(err.contains(field), "{field}: {err}");
+        }
         // The bounds are inclusive, and the u32 bound holds for every tag.
         for (text, from, to) in [
             (&rbma, r#""alpha":10,"#, r#""alpha":4294967295,"#),

@@ -351,11 +351,9 @@ fn bma_recency_upkeep(c: &mut Criterion) {
 }
 
 /// The telemetry tax at the standard point: the same R-BMA run with a live
-/// enabled sink (chunk stopwatch + end-of-run flush), with the default
-/// disabled handle (one branch per flush site), and — when the workspace is
-/// built with `--cfg dcn_telemetry_off` — with the layer compiled out
-/// entirely. CI gates `enabled` against the shared baseline; the
-/// acceptance bar is enabled ≤ 2% over disabled.
+/// enabled sink (chunk stopwatch + end-of-run flush) and with the default
+/// disabled handle (one branch per flush site). CI gates `enabled` against
+/// the shared baseline; the acceptance bar is enabled ≤ 2% over disabled.
 fn telemetry_overhead(c: &mut Criterion) {
     let dm = distances();
     let mut group = c.benchmark_group("batch_telemetry_rbma_b12_zipf");
@@ -365,12 +363,7 @@ fn telemetry_overhead(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2))
         .throughput(Throughput::Elements(LEN as u64));
     let algorithm = AlgorithmKind::Rbma { lazy: true };
-    let points: &[&str] = if dcn_telemetry::compiled() {
-        &["disabled", "enabled"]
-    } else {
-        &["compiled_off"]
-    };
-    for &point in points {
+    for point in ["disabled", "enabled"] {
         group.bench_function(point, |bench| {
             let config = SimConfig::default().with_batch_size(1024);
             let config = if point == "enabled" {
@@ -391,12 +384,11 @@ fn telemetry_overhead(c: &mut Criterion) {
 
 /// The failpoint tax at the standard point: the serve loop passes
 /// `sim.chunk` once per chunk. `disarmed` is the production configuration
-/// (one relaxed atomic load per hit site — the ISSUE's zero-overhead
-/// acceptance point); `armed_other` arms an *unrelated* name, paying the
-/// registry lookup on every hit without firing, the worst non-firing case;
-/// `compiled_off` (under `--cfg dcn_failpoints_off`) is the hard floor
-/// with the module compiled to nothing. CI gates `disarmed` against the
-/// shared criterion baseline like every other hot-path change.
+/// (one relaxed atomic load per hit site, which must stay unmeasurable);
+/// `armed_other` arms an *unrelated* name, paying the registry lookup on
+/// every hit without firing, the worst non-firing case. CI gates
+/// `disarmed` against the shared criterion baseline like every other
+/// hot-path change.
 fn failpoint_overhead(c: &mut Criterion) {
     let dm = distances();
     let mut group = c.benchmark_group("batch_failpoint_rbma_b12_zipf");
@@ -406,12 +398,7 @@ fn failpoint_overhead(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2))
         .throughput(Throughput::Elements(LEN as u64));
     let algorithm = AlgorithmKind::Rbma { lazy: true };
-    let points: &[&str] = if dcn_util::failpoint::compiled() {
-        &["disarmed", "armed_other"]
-    } else {
-        &["compiled_off"]
-    };
-    for &point in points {
+    for point in ["disarmed", "armed_other"] {
         group.bench_function(point, |bench| {
             if point == "armed_other" {
                 dcn_util::failpoint::arm(

@@ -11,7 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dcn_core::algorithms::AlgorithmKind;
-use dcn_core::sweep::{run_jobs, run_jobs_sequential, Job, ShardSpec};
+use dcn_core::sweep::{run_jobs, run_jobs_sequential, Job};
 use dcn_topology::{builders, DistanceMatrix};
 use dcn_traces::TraceSpec;
 use dcn_util::rngx::derive_seed;
@@ -81,22 +81,5 @@ fn sweep_executor_skewed(c: &mut Criterion) {
     group.finish();
 }
 
-/// Shard bookkeeping overhead: computing one half-shard of the grid must
-/// cost about half the grid (the partition itself is index arithmetic).
-fn sweep_shard_overhead(c: &mut Criterion) {
-    let dm = distances();
-    let jobs = skewed_jobs();
-    let mut group = c.benchmark_group("sweep_shard");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2));
-    group.bench_function("half_shard_sequential", |bench| {
-        let shard = ShardSpec::new(0, 2);
-        bench.iter(|| black_box(dcn_core::sweep::run_jobs_sharded(&dm, &jobs, 1, shard)))
-    });
-    group.finish();
-}
-
-criterion_group!(benches, sweep_executor_skewed, sweep_shard_overhead);
+criterion_group!(benches, sweep_executor_skewed);
 criterion_main!(benches);

@@ -65,8 +65,10 @@
 //!               killed mid-sweep leaves a valid journal behind.
 //! --resume      replay FILE before running: journaled jobs are served from
 //!               their recorded reports (digest-checked), only missing or
-//!               quarantined jobs re-run. The merged artifact is
-//!               byte-identical to an uninterrupted run. Requires --journal.
+//!               quarantined jobs re-run. A job's journal key digests its
+//!               whole configuration, so entries from another --scale never
+//!               match. The merged artifact is byte-identical to an
+//!               uninterrupted run. Requires --journal.
 //!
 //! The environment variable `DCN_FAILPOINTS` (e.g.
 //! `sweep.job_claim=panic@5`, `sim.chunk=delay:2ms@10%`) arms deterministic
@@ -76,11 +78,11 @@
 
 use dcn_bench::{
     ablation_alpha, ablation_augmentation, ablation_removal, ablation_skew, adversary_search,
-    demand_sweep_supervised, genomes_to_json, locked_update, lower_bound_gap,
-    measure_standard_point, run_panel, scaling_sweep, series_to_csv, series_to_markdown, shard,
-    sweep_scaling, telem, worst_case_panel, FigureSpec, Panel, SimpleTable,
+    demand_sweep, genomes_to_json, locked_update, lower_bound_gap, measure_standard_point,
+    run_panel, scaling_sweep, series_to_csv, series_to_markdown, shard, sweep_scaling, telem,
+    worst_case_panel, FigureSpec, Panel, SimpleTable,
 };
-use dcn_core::sweep::{JobFailure, ShardSpec, Supervisor};
+use dcn_core::sweep::{JobFailure, ShardSpec};
 use serde::Serialize;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -193,7 +195,7 @@ fn main() {
             Ok(j) => {
                 if resume {
                     println!(
-                        "journal: {} completed job(s) will replay from {}",
+                        "journal: {} completed job(s) loaded from {}",
                         j.len(),
                         path.display()
                     );
@@ -244,9 +246,6 @@ fn main() {
         // Every SimConfig::default() in the figure/table code paths picks
         // this handle up; reports stay byte-identical either way.
         dcn_telemetry::install_global(dcn_telemetry::Telemetry::enabled());
-        if !dcn_telemetry::compiled() {
-            eprintln!("note: built with --cfg dcn_telemetry_off; TELEM artifacts will be empty");
-        }
     }
 
     let divisor = if fast { 20 } else { 1 };
@@ -409,12 +408,7 @@ fn main() {
                     // The demand target runs supervised: per-job retries,
                     // quarantine instead of abort, and (with --journal)
                     // resumability.
-                    _ => demand_sweep_supervised(
-                        ablation_scale,
-                        threads,
-                        shard_spec,
-                        &Supervisor::scoped("demand"),
-                    ),
+                    _ => demand_sweep(ablation_scale, threads, shard_spec),
                 };
                 if id == "demand" {
                     report_quarantines(&failures, json_dir.as_deref());
@@ -487,15 +481,10 @@ fn main() {
                 // Footer: the measured Theorem-1 specials share across the
                 // R-BMA runs (the slow-path density the serve numbers above
                 // are facing), from the `rbma.specials` telemetry counter.
-                match specials_share {
-                    Some(share) => println!(
-                        "[scaling] measured specials share: {:.1}% of R-BMA requests (rbma.specials)",
-                        share * 100.0
-                    ),
-                    None => println!(
-                        "[scaling] measured specials share: n/a (telemetry compiled out)"
-                    ),
-                }
+                println!(
+                    "[scaling] measured specials share: {:.1}% of R-BMA requests (rbma.specials)",
+                    specials_share * 100.0
+                );
             }
             "ledger" => {
                 let Some(pr) = pr else {

@@ -22,8 +22,7 @@
 
 use crate::SimpleTable;
 use dcn_core::algorithms::AlgorithmKind;
-use dcn_core::sweep::run_jobs_supervised;
-use dcn_core::sweep::{resolve_threads, Job, JobFailure, ShardSpec, Supervisor};
+use dcn_core::sweep::{resolve_threads, run_jobs_supervised, Job, JobFailure, ShardSpec};
 use dcn_demand::{DemandMatrix, MicrosoftParams};
 use dcn_topology::{builders, DistanceMatrix};
 use dcn_traces::TraceSpec;
@@ -36,23 +35,19 @@ use std::sync::Arc;
 /// (by original index, so all seeds are unchanged) this invocation
 /// computes — the sweep is fully deterministic, so shard artifacts merge
 /// byte-identically into the unsharded table.
-pub fn demand_sweep(scale: f64, threads: usize, shard: ShardSpec) -> SimpleTable {
-    demand_sweep_supervised(scale, threads, shard, &Supervisor::scoped("demand")).0
-}
-
-/// [`demand_sweep`] under supervised execution: each job runs inside the
-/// retry/quarantine envelope of `sup`, and (with a journal installed)
-/// completed jobs replay on `--resume` instead of re-running. When every
-/// job completes, the table is **byte-identical** to the historical
-/// unsupervised artifact; when a job exhausts its retries, the affected
+///
+/// Every job runs supervised under the journal scope `"demand"`
+/// ([`run_jobs_supervised`]): a panicking job is retried, and (with a
+/// journal installed) completed jobs replay on `--resume` instead of
+/// re-running. When every job completes, the table is **byte-identical**
+/// to an unsupervised run's; when a job exhausts its retries, the affected
 /// row's dependent cells degrade to NaN (serialized `null`), the row gets
 /// a `statuses` note, and the structured [`JobFailure`] records are
 /// returned for the quarantine report.
-pub fn demand_sweep_supervised(
+pub fn demand_sweep(
     scale: f64,
     threads: usize,
     shard: ShardSpec,
-    sup: &Supervisor,
 ) -> (SimpleTable, Vec<JobFailure>) {
     assert!(scale > 0.0, "scale factor must be positive");
     let racks = 50;
@@ -109,7 +104,7 @@ pub fn demand_sweep_supervised(
             }
         }
     }
-    let outcomes = run_jobs_supervised(&dm, &jobs, threads, sup);
+    let outcomes = run_jobs_supervised(&dm, &jobs, threads, "demand");
     let failures: Vec<JobFailure> = outcomes
         .iter()
         .filter_map(|o| o.failure().cloned())
@@ -186,7 +181,7 @@ mod tests {
 
     #[test]
     fn table_shape_and_positive_costs() {
-        let t = demand_sweep(0.01, 0, ShardSpec::full());
+        let (t, _) = demand_sweep(0.01, 0, ShardSpec::full());
         assert_eq!(t.rows.len(), 5);
         assert_eq!(t.columns.len(), 7);
         for (label, v) in &t.rows {
@@ -197,7 +192,7 @@ mod tests {
 
     #[test]
     fn baseline_beats_oblivious_on_its_own_matrix_then_decays() {
-        let t = demand_sweep(0.01, 0, ShardSpec::full());
+        let (t, _) = demand_sweep(0.01, 0, ShardSpec::full());
         let da_saving: Vec<f64> = t.rows.iter().map(|(_, v)| v[5]).collect();
         assert!(
             da_saving[0] > 0.15,
@@ -211,7 +206,7 @@ mod tests {
 
     #[test]
     fn rbma_degrades_less_than_the_static_baseline() {
-        let t = demand_sweep(0.01, 0, ShardSpec::full());
+        let (t, _) = demand_sweep(0.01, 0, ShardSpec::full());
         let gap = |row: &(String, Vec<f64>)| row.1[6] - row.1[5];
         let gap_first = gap(&t.rows[0]);
         let gap_last = gap(t.rows.last().expect("rows"));
@@ -224,7 +219,7 @@ mod tests {
 
     #[test]
     fn hedging_protects_the_drifted_end() {
-        let t = demand_sweep(0.01, 0, ShardSpec::full());
+        let (t, _) = demand_sweep(0.01, 0, ShardSpec::full());
         let last = &t.rows.last().expect("rows").1;
         let (hedged, point) = (last[1], last[0]);
         assert!(

@@ -35,7 +35,7 @@ pub use ablations::{
     SimpleTable,
 };
 pub use adversary::{adversary_search, genomes_to_json};
-pub use demand::{demand_sweep, demand_sweep_supervised};
+pub use demand::demand_sweep;
 pub use ledger::{locked_update, measure_standard_point, Ledger, LedgerEntry};
 pub use shard::{merge_tables, merged_file_name, shard_file_name};
 
@@ -471,17 +471,11 @@ pub fn worst_case_panel() -> SimpleTable {
 /// * **Measured specials share.** The runs meter into a local
 ///   telemetry sink (merged into the process-global one afterwards, so
 ///   `--telemetry` artifacts stay whole); the second return value is
-///   the observed `rbma.specials` share of all R-BMA requests served —
-///   `None` when the telemetry layer is compiled out
-///   (`--cfg dcn_telemetry_off`). The caller prints it as the target
-///   footer.
+///   the observed `rbma.specials` share of all R-BMA requests served.
+///   The caller prints it as the target footer.
 ///
 /// [`CorpusEntry::verify`]: dcn_adversary::CorpusEntry::verify
-pub fn scaling_sweep(
-    lens: &[usize],
-    threads: usize,
-    shard: ShardSpec,
-) -> (SimpleTable, Option<f64>) {
+pub fn scaling_sweep(lens: &[usize], threads: usize, shard: ShardSpec) -> (SimpleTable, f64) {
     let racks = 100;
     let b = 12;
     let alpha = 10u64;
@@ -618,10 +612,8 @@ pub fn scaling_sweep(
     // Merge the metered counters outward, then derive the footer share.
     let metered = specials_sink.snapshot();
     dcn_telemetry::global().merge(&metered);
-    let specials_share = metered
-        .counters
-        .get("rbma.specials")
-        .map(|&s| s as f64 / rbma_requests.max(1) as f64);
+    let specials = metered.counters.get("rbma.specials").copied().unwrap_or(0);
+    let specials_share = specials as f64 / rbma_requests.max(1) as f64;
     let table = SimpleTable {
         title: format!(
             "Scaling: streamed Zipf(s={exponent}) workloads, {racks} racks, b={b}, α={alpha} \
@@ -972,16 +964,13 @@ mod tests {
         let (t, specials_share) = scaling_sweep(&[2_000, 4_000], 1, ShardSpec::full());
         assert_eq!(t.rows.len(), 2 + corpus);
         assert_eq!(t.columns.len(), 7);
-        // The footer share is a real measurement when telemetry is
-        // compiled in (the standard point sits near 30% specials; the
-        // corpus rows pull the mix around, so just bound it).
-        #[cfg(not(dcn_telemetry_off))]
-        {
-            let share = specials_share.expect("telemetry compiled in");
-            assert!(share > 0.0 && share < 1.0, "share {share}");
-        }
-        #[cfg(dcn_telemetry_off)]
-        assert!(specials_share.is_none());
+        // The footer share is a real measurement (the standard point sits
+        // near 30% specials; the corpus rows pull the mix around, so just
+        // bound it).
+        assert!(
+            specials_share > 0.0 && specials_share < 1.0,
+            "share {specials_share}"
+        );
         for (label, v) in &t.rows {
             // Online totals are bounded by the oblivious upper envelope plus
             // reconfiguration spend; all must be positive.

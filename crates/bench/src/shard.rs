@@ -625,11 +625,11 @@ mod tests {
         // The real contract behind the CI smoke step: run the (fully
         // deterministic) demand target unsharded and as two shards; the
         // merged JSON must equal the unsharded JSON byte for byte.
-        let full = crate::demand_sweep(0.005, 1, ShardSpec::full());
+        let (full, _) = crate::demand_sweep(0.005, 1, ShardSpec::full());
         let parts: Vec<_> = (0..2)
             .map(|i| {
                 let shard = ShardSpec::new(i, 2);
-                (shard, crate::demand_sweep(0.005, 1, shard))
+                (shard, crate::demand_sweep(0.005, 1, shard).0)
             })
             .collect();
         let merged = merge_tables(parts).expect("merge");

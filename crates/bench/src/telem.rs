@@ -293,9 +293,6 @@ mod tests {
 
     #[test]
     fn shard_merge_round_trips_and_validates() {
-        if !dcn_telemetry::compiled() {
-            return;
-        }
         let dir = std::env::temp_dir().join(format!("rdcn-telem-merge-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let (a, b) = (sample_snapshot(1), sample_snapshot(3));
@@ -333,9 +330,6 @@ mod tests {
 
     #[test]
     fn projection_keeps_deterministic_counters_only() {
-        if !dcn_telemetry::compiled() {
-            return;
-        }
         let p = projection(&sample_snapshot(1));
         assert_eq!(p.get("serve.requests"), Some(&100));
         assert_eq!(p.get("serve.chunk_ns:count"), Some(&40));
@@ -346,9 +340,6 @@ mod tests {
 
     #[test]
     fn diff_projection_reports_divergence() {
-        if !dcn_telemetry::compiled() {
-            return;
-        }
         let (a, b) = (sample_snapshot(1), sample_snapshot(2));
         assert!(diff_projection(&a, &a).is_ok());
         let err = diff_projection(&a, &b).unwrap_err();
@@ -357,9 +348,6 @@ mod tests {
 
     #[test]
     fn summary_table_lists_counters_and_percentiles() {
-        if !dcn_telemetry::compiled() {
-            return;
-        }
         let s = summary_table(&sample_snapshot(1));
         assert!(s.contains("| serve.requests | 100 |"));
         assert!(s.contains("| serve.chunk_ns |"));

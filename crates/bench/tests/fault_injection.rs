@@ -100,7 +100,7 @@ fn injected_parse_error_surfaces_through_the_merge_path() {
     let _g = locked();
     let dir = std::env::temp_dir().join(format!("rdcn-parse-inject-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");
-    let table = dcn_bench::demand_sweep(0.005, 1, dcn_core::sweep::ShardSpec::new(0, 1));
+    let (table, _) = dcn_bench::demand_sweep(0.005, 1, dcn_core::sweep::ShardSpec::new(0, 1));
     std::fs::write(
         dir.join(dcn_bench::shard_file_name(
             "inject",

@@ -105,7 +105,7 @@ pub struct BmaWith<M: RecencyMatching, C: RentCounters> {
     stats: BmaStats,
 }
 
-/// BMA's telemetry recorders (ZSTs under `--cfg dcn_telemetry_off`).
+/// BMA's telemetry recorders.
 #[derive(Default)]
 struct BmaStats {
     /// Requests that arrived on a matching edge.

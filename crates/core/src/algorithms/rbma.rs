@@ -84,7 +84,7 @@ pub struct Rbma {
     stats: RbmaStats,
 }
 
-/// R-BMA's telemetry recorders (ZSTs under `--cfg dcn_telemetry_off`).
+/// R-BMA's telemetry recorders.
 #[derive(Default)]
 struct RbmaStats {
     /// Theorem-1 special requests executed (the Theorem-2 slow path).

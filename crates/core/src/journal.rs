@@ -12,8 +12,12 @@
 //! Each line is a self-contained object:
 //!
 //! ```text
-//! {"key":"demand#3:R-BMA/b=6/a=10/seed=…/zipf-…","digest":1234…,"report":{…}}
+//! {"key":"demand#3:R-BMA/b=6/alpha=10/seed=…/matrix(…)/9f0c…","digest":1234…,"report":{…}}
 //! ```
+//!
+//! The key ends in a digest of the job's whole configuration
+//! ([`crate::sweep::job_key`]), so a journal written for another grid —
+//! another `--scale`, say — matches no job and replays nothing.
 //!
 //! `digest` is the FxHash64 of the serialized report; on replay a line
 //! whose report does not re-serialize to its digest is dropped (and

@@ -27,18 +27,18 @@
 //!   job carries a [`dcn_traces::TraceSpec`] and synthesizes its own
 //!   stream in-place. This is the only parallelism: each simulation runs
 //!   sequentially, as in §3.1.
-//! * [`cancel`] / [`journal`] / [`sweep::run_jobs_supervised`] — the
-//!   fault-tolerance layer: cooperative per-job deadlines observed at chunk
-//!   boundaries, `catch_unwind` supervision with a deterministic retry
-//!   budget and structured quarantine ([`sweep::JobFailure`]), and a
-//!   resumable completed-job journal ([`journal::RunJournal`]) written with
-//!   atomic rename so kill-and-resume reproduces an uninterrupted run
-//!   byte-for-byte (DESIGN §8).
-//! * Telemetry — the simulator, schedulers and both executors flush event
-//!   counters and log2 latency histograms into a
+//! * [`journal`] / [`sweep::run_jobs_supervised`] — the fault-tolerance
+//!   layer: `catch_unwind` supervision with a fixed, deterministic retry
+//!   budget ([`sweep::RETRIES`], [`sweep::BACKOFF_BASE`]) and structured
+//!   quarantine ([`sweep::JobFailure`]), and a resumable completed-job
+//!   journal ([`journal::RunJournal`]) written with atomic rename so
+//!   kill-and-resume reproduces an uninterrupted run byte-for-byte
+//!   (DESIGN §8).
+//! * Telemetry — the simulator, the schedulers and the executor's claim
+//!   loop flush event counters and log2 latency histograms into a
 //!   [`dcn_telemetry::Telemetry`] handle
 //!   ([`simulator::SimConfig::telemetry`]; disabled by default). Reports
-//!   stay byte-identical with telemetry on, off, or compiled out.
+//!   stay byte-identical with telemetry on or off.
 //! * [`ratio`] — adversarial fitness: an online algorithm's total cost
 //!   relative to the static offline baseline on the same trace (the
 //!   objective the adversary search in `dcn-adversary` maximizes).
@@ -64,7 +64,6 @@
 //! ```
 
 pub mod algorithms;
-pub mod cancel;
 pub mod journal;
 pub mod ratio;
 pub mod report;
@@ -72,10 +71,9 @@ pub mod scheduler;
 pub mod simulator;
 pub mod sweep;
 
-pub use cancel::CancelToken;
 pub use journal::RunJournal;
 pub use ratio::{cost_ratio_vs_static, RatioOutcome};
 pub use report::{AveragedSeries, Checkpoint, RunReport};
 pub use scheduler::{IntraPool, OnlineScheduler, ServeOutcome};
 pub use simulator::{run, total_served, RequestStream, SimConfig};
-pub use sweep::{JobFailure, JobOutcome, ShardSpec, Supervisor};
+pub use sweep::{JobFailure, JobOutcome, ShardSpec};

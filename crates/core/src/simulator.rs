@@ -24,7 +24,6 @@
 //! the stream length, so workloads of tens of millions of requests run at
 //! constant memory.
 
-use crate::cancel::CancelToken;
 use crate::report::{Checkpoint, RunReport};
 use crate::scheduler::{BatchOutcome, OnlineScheduler};
 use dcn_telemetry::{Histogram, Telemetry};
@@ -75,13 +74,6 @@ pub struct SimConfig {
     /// --telemetry` installs one. Disabled handles cost one branch per
     /// chunk; the report is byte-identical either way (pinned by proptest).
     pub telemetry: Telemetry,
-    /// Cooperative stop signal, polled once per chunk. The default inert
-    /// token costs one `None` check; the supervised executor
-    /// ([`crate::sweep::run_jobs_supervised`]) installs a deadline token so
-    /// an over-budget job stops at the next chunk boundary and returns its
-    /// partial report (the supervisor inspects
-    /// [`CancelToken::is_cancelled`] to tell partial from complete).
-    pub cancel: CancelToken,
 }
 
 impl Default for SimConfig {
@@ -93,7 +85,6 @@ impl Default for SimConfig {
             trace_name: String::new(),
             batch_size: DEFAULT_BATCH_SIZE,
             telemetry: dcn_telemetry::global(),
-            cancel: CancelToken::none(),
         }
     }
 }
@@ -109,12 +100,6 @@ impl SimConfig {
     /// process-global handle `Default` picks up).
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// A copy polling `cancel` at every chunk boundary.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = cancel;
         self
     }
 
@@ -259,8 +244,8 @@ pub fn run<S: OnlineScheduler + ?Sized, R: RequestStream>(
     let batch = config.batch_size.max(1).min(total.max(1));
     let mut buf = vec![Pair::new(0, 1); batch];
     // Telemetry recorders are run-local; the registry is only touched at
-    // the flush below. With a disabled handle (or the layer compiled off)
-    // the serve loop pays one branch per chunk and nothing else.
+    // the flush below. With a disabled handle the serve loop pays one
+    // branch per chunk and nothing else.
     let telem_on = config.telemetry.is_enabled();
     let mut chunk_ns = Histogram::default();
     let mut state = Checkpoint::default();
@@ -270,12 +255,6 @@ pub fn run<S: OnlineScheduler + ?Sized, R: RequestStream>(
     let mut sw = Stopwatch::new();
 
     while served < total {
-        // Cooperative cancellation: a tripped token (deadline or explicit)
-        // ends the run at this chunk boundary with the partial state
-        // accumulated so far; the caller reads the token to detect it.
-        if config.cancel.should_stop() {
-            break;
-        }
         dcn_util::failpoint::hit("sim.chunk");
         // The chunk must not straddle a checkpoint or verify boundary.
         let mut limit = batch.min(total - served);
@@ -608,27 +587,6 @@ mod tests {
         let mut rbma = Rbma::new(dm.clone(), 2, 4, RemovalMode::Lazy, 3);
         let report = run(&mut rbma, &dm, 4, &reqs, &config);
         assert_eq!(report.total.requests, reqs.len() as u64);
-    }
-
-    #[test]
-    fn tripped_cancel_token_stops_at_a_chunk_boundary() {
-        let (dm, reqs) = setup(8);
-        // An already-expired deadline stops the run before the first chunk:
-        // the report is the partial (empty) state, and the token is latched
-        // so the caller can tell the run was cut short.
-        let config = SimConfig::default()
-            .with_batch_size(100)
-            .with_cancel(CancelToken::with_deadline(std::time::Duration::ZERO));
-        let mut alg = Oblivious::new(8, 2);
-        let report = run(&mut alg, &dm, 10, &reqs, &config);
-        assert_eq!(report.total.requests, 0);
-        assert!(report.checkpoints.is_empty());
-        assert!(config.cancel.is_cancelled());
-
-        // An inert token (the default) serves everything.
-        let mut alg = Oblivious::new(8, 2);
-        let full = run(&mut alg, &dm, 10, &reqs, &SimConfig::default());
-        assert_eq!(full.total.requests, reqs.len() as u64);
     }
 
     #[test]

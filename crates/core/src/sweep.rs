@@ -20,12 +20,20 @@
 //! sets what auto resolves to for the duration of a call (the one way a
 //! library fan-out such as SO-BMA's checkpoints learns `--threads`).
 //!
-//! A [`ShardSpec`] deterministically partitions any grid for multi-host
-//! runs: shard `i/m` owns exactly the jobs (or table rows) whose index is
-//! `≡ i (mod m)` — round-robin, so skewed grids split evenly — and the
-//! union of all `m` slices is the unsharded grid, in job order
-//! ([`run_jobs_sharded`] returns original indices alongside reports, and
-//! `repro_figures --merge-json` reassembles shard artifacts byte-for-byte).
+//! Every worker, the inline one included, runs the same claim loop and
+//! keeps plain-u64 accounting (jobs, steals, busy time, a job wall-clock
+//! histogram); it flushes that into the process-global telemetry sink
+//! once, when the loop ends, and only if a sink is installed.
+//!
+//! A [`ShardSpec`] deterministically partitions a table target's rows for
+//! multi-host runs: shard `i/m` owns exactly the rows whose index is
+//! `≡ i (mod m)` — round-robin, so skewed grids split evenly — and
+//! `repro_figures --merge-json` reassembles the shard artifacts into the
+//! unsharded table byte-for-byte.
+//!
+//! [`run_jobs_supervised`] wraps each job in `catch_unwind` with a fixed
+//! retry budget ([`RETRIES`], [`BACKOFF_BASE`]) and, when a journal is
+//! installed, records and replays completed jobs (DESIGN §8).
 //!
 //! Every [`Job`] carries a [`TraceSpec`] — a *description* of its workload
 //! (generator + parameters + trace seed) — and each worker synthesizes its
@@ -38,15 +46,16 @@
 //! [`run_jobs_sequential`]) for those, as the figure harness does.
 
 use crate::algorithms::AlgorithmKind;
-use crate::cancel::CancelToken;
 use crate::report::RunReport;
 use crate::simulator::{run, SimConfig};
 use dcn_telemetry::{Histogram, Telemetry};
 use dcn_topology::DistanceMatrix;
 use dcn_traces::TraceSpec;
+use dcn_util::FxHasher;
 use parking_lot::Mutex;
 use serde::Serialize;
 use std::cell::Cell;
+use std::hash::Hasher;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -70,11 +79,11 @@ pub struct Job {
     pub trace: TraceSpec,
 }
 
-/// A deterministic `index`-of-`count` partition of a job grid (or any other
-/// indexed work list): shard `i/m` owns the indices `≡ i (mod m)`.
+/// A deterministic `index`-of-`count` partition of a table's rows (or any
+/// other indexed work list): shard `i/m` owns the indices `≡ i (mod m)`.
 /// Round-robin assignment keeps skewed grids (where cost grows with index,
 /// as in the scaling sweeps) balanced across hosts, and the union of all
-/// `m` shards is exactly the full grid, each index owned once.
+/// `m` shards is exactly the full list, each index owned once.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardSpec {
     index: usize,
@@ -146,11 +155,6 @@ impl ShardSpec {
     pub fn owns(&self, i: usize) -> bool {
         i % self.count == self.index
     }
-
-    /// The indices this shard owns out of `0..n`, ascending.
-    pub fn owned_indices(&self, n: usize) -> impl Iterator<Item = usize> + '_ {
-        (self.index..n).step_by(self.count)
-    }
 }
 
 impl std::fmt::Display for ShardSpec {
@@ -209,23 +213,7 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 /// Runs all jobs using `threads` workers (`0` = auto); results are in job
 /// order, identical to [`run_jobs_sequential`].
 pub fn run_jobs(dm: &Arc<DistanceMatrix>, jobs: &[Job], threads: usize) -> Vec<RunReport> {
-    let indices: Vec<usize> = (0..jobs.len()).collect();
-    execute_indices(dm, jobs, &indices, threads)
-}
-
-/// Runs the subset of `jobs` owned by `shard` using `threads` workers
-/// (`0` = auto). Returns `(original job index, report)` pairs in job order,
-/// so the union of all shards' outputs — interleaved by index — is exactly
-/// the unsharded [`run_jobs`] result.
-pub fn run_jobs_sharded(
-    dm: &Arc<DistanceMatrix>,
-    jobs: &[Job],
-    threads: usize,
-    shard: ShardSpec,
-) -> Vec<(usize, RunReport)> {
-    let indices: Vec<usize> = shard.owned_indices(jobs.len()).collect();
-    let reports = execute_indices(dm, jobs, &indices, threads);
-    indices.into_iter().zip(reports).collect()
+    steal_map(jobs.len(), threads, |k| execute(dm, &jobs[k]))
 }
 
 /// The work-stealing primitive under [`run_jobs`] (and any other
@@ -237,133 +225,36 @@ pub fn run_jobs_sharded(
 /// its preallocated slot. `result[k] == f(k)`, in index order, for every
 /// thread count. Every `f(k)` runs as a worker: auto resolves to one thread
 /// inside it, also when the fan-out runs inline on the caller's thread.
+///
+/// With a process-global telemetry sink installed the fan-out adds `n` to
+/// `sweep.jobs`, and each worker `w` flushes `sweep.worker.{w}.{jobs,
+/// steals,busy_ns,idle_ns}` and the `sweep.job_ns` histogram once, when
+/// its claim loop ends. A claim of index `k` by worker `w` counts as a
+/// **steal** when `k % threads != w`, i.e. the dynamic cursor deviated from
+/// the static round-robin split — the signal that load balancing actually
+/// moved work.
 pub fn steal_map<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    // One global-handle read per fan-out, never per job. With telemetry
-    // enabled the instrumented twin runs instead; the path below is the
-    // byte-for-byte historical executor.
-    let telemetry = dcn_telemetry::global();
-    if telemetry.is_enabled() {
-        return steal_map_instrumented(n, threads, f, &telemetry);
-    }
+    // One global-handle read per fan-out, never per job.
+    let sink = dcn_telemetry::global();
+    sink.add_counter("sweep.jobs", n as u64);
     let threads = resolve_threads(threads).min(n);
-    if threads <= 1 {
-        let _worker = AutoWidth::set(1);
-        return (0..n)
-            .map(|k| {
-                // The claim site sits *outside* any per-job supervision:
-                // a failpoint panic here kills the whole fan-out, which is
-                // exactly the "process died mid-sweep" scenario the
-                // journal-resume tests and the CI chaos step simulate.
-                dcn_util::failpoint::hit("sweep.job_claim");
-                f(k)
-            })
-            .collect();
-    }
     let cursor = AtomicUsize::new(0);
+    if threads <= 1 {
+        // Inline: the caller's thread is worker 0 of a one-worker pool.
+        let mut out = Vec::with_capacity(n);
+        claim_loop(0, 1, n, &cursor, &f, &sink, |_, r| out.push(r));
+        return out;
+    }
     // One slot per index: workers lock only their own claimed slot, so
     // there is no contention and no post-hoc sort.
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let cursor = &cursor;
-            let slots = &slots;
-            let f = &f;
-            scope.spawn(move || {
-                let _worker = AutoWidth::set(1);
-                loop {
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    if k >= n {
-                        break;
-                    }
-                    dcn_util::failpoint::hit("sweep.job_claim");
-                    *slots[k].lock() = Some(f(k));
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("all claimed indices completed"))
-        .collect()
-}
-
-/// [`steal_map`] with per-worker accounting: each worker keeps local
-/// recorders (jobs claimed, steals, busy/idle nanoseconds, a job wall-clock
-/// histogram) and flushes them into `sink` once, when its claim loop ends.
-/// A claim of index `k` by worker `w` counts as a **steal** when
-/// `k % threads != w`, i.e. the dynamic cursor deviated from the static
-/// round-robin split — the signal that load balancing actually moved work.
-/// Results are identical to the uninstrumented path (same claim protocol).
-fn steal_map_instrumented<T: Send>(
-    n: usize,
-    threads: usize,
-    f: impl Fn(usize) -> T + Sync,
-    sink: &Telemetry,
-) -> Vec<T> {
-    let threads = resolve_threads(threads).min(n);
-    sink.add_counter("sweep.jobs", n as u64);
-    if threads <= 1 {
-        // Sequential fan-out: still attributed, as worker 0 with no steals.
-        let _worker = AutoWidth::set(1);
-        let mut busy = 0u64;
-        let mut job_ns = Histogram::default();
-        let t_start = Instant::now();
-        let out = (0..n)
-            .map(|k| {
-                dcn_util::failpoint::hit("sweep.job_claim");
-                let t0 = Instant::now();
-                let r = f(k);
-                let ns = t0.elapsed().as_nanos() as u64;
-                busy += ns;
-                job_ns.record(ns);
-                r
-            })
-            .collect();
-        let wall = t_start.elapsed().as_nanos() as u64;
-        sink.add_counter("sweep.worker.0.jobs", n as u64);
-        sink.add_counter("sweep.worker.0.busy_ns", busy);
-        sink.add_counter("sweep.worker.0.idle_ns", wall.saturating_sub(busy));
-        sink.merge_histogram("sweep.job_ns", &job_ns);
-        return out;
-    }
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
         for w in 0..threads {
-            let cursor = &cursor;
-            let slots = &slots;
-            let f = &f;
+            let (cursor, slots, f, sink) = (&cursor, &slots, &f, &sink);
             scope.spawn(move || {
-                let _worker = AutoWidth::set(1);
-                let mut jobs = 0u64;
-                let mut steals = 0u64;
-                let mut busy = 0u64;
-                let mut job_ns = Histogram::default();
-                let t_start = Instant::now();
-                loop {
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    if k >= n {
-                        break;
-                    }
-                    dcn_util::failpoint::hit("sweep.job_claim");
-                    let t0 = Instant::now();
-                    let r = f(k);
-                    let ns = t0.elapsed().as_nanos() as u64;
-                    *slots[k].lock() = Some(r);
-                    jobs += 1;
-                    busy += ns;
-                    job_ns.record(ns);
-                    steals += (k % threads != w) as u64;
-                }
-                let wall = t_start.elapsed().as_nanos() as u64;
-                sink.add_counter(&format!("sweep.worker.{w}.jobs"), jobs);
-                sink.add_counter(&format!("sweep.worker.{w}.steals"), steals);
-                sink.add_counter(&format!("sweep.worker.{w}.busy_ns"), busy);
-                sink.add_counter(
-                    &format!("sweep.worker.{w}.idle_ns"),
-                    wall.saturating_sub(busy),
-                );
-                sink.merge_histogram("sweep.job_ns", &job_ns);
+                claim_loop(w, threads, n, cursor, f, sink, |k, r| {
+                    *slots[k].lock() = Some(r)
+                })
             });
         }
     });
@@ -373,15 +264,52 @@ fn steal_map_instrumented<T: Send>(
         .collect()
 }
 
-/// Job-grid adapter over [`steal_map`]: `result[k]` is the report of
-/// `jobs[indices[k]]`.
-fn execute_indices(
-    dm: &Arc<DistanceMatrix>,
-    jobs: &[Job],
-    indices: &[usize],
+/// Worker `w` of `threads`: claims indices below `n` from `cursor` until
+/// none are left, hands each `f(k)` to `store`, and flushes its local
+/// accounting into `sink` at the end (see [`steal_map`]).
+fn claim_loop<T>(
+    w: usize,
     threads: usize,
-) -> Vec<RunReport> {
-    steal_map(indices.len(), threads, |k| execute(dm, &jobs[indices[k]]))
+    n: usize,
+    cursor: &AtomicUsize,
+    f: &impl Fn(usize) -> T,
+    sink: &Telemetry,
+    mut store: impl FnMut(usize, T),
+) {
+    let _worker = AutoWidth::set(1);
+    let (mut jobs, mut steals, mut busy) = (0u64, 0u64, 0u64);
+    let mut job_ns = Histogram::default();
+    let t_start = Instant::now();
+    loop {
+        let k = cursor.fetch_add(1, Ordering::Relaxed);
+        if k >= n {
+            break;
+        }
+        // The claim site sits *outside* any per-job supervision: a
+        // failpoint panic here kills the whole fan-out, which is exactly
+        // the "process died mid-sweep" scenario the journal-resume tests
+        // and the CI chaos step simulate.
+        dcn_util::failpoint::hit("sweep.job_claim");
+        let t0 = Instant::now();
+        let r = f(k);
+        let ns = t0.elapsed().as_nanos() as u64;
+        store(k, r);
+        jobs += 1;
+        busy += ns;
+        job_ns.record(ns);
+        steals += (k % threads != w) as u64;
+    }
+    if sink.is_enabled() {
+        let wall = t_start.elapsed().as_nanos() as u64;
+        sink.add_counter(&format!("sweep.worker.{w}.jobs"), jobs);
+        sink.add_counter(&format!("sweep.worker.{w}.steals"), steals);
+        sink.add_counter(&format!("sweep.worker.{w}.busy_ns"), busy);
+        sink.add_counter(
+            &format!("sweep.worker.{w}.idle_ns"),
+            wall.saturating_sub(busy),
+        );
+        sink.merge_histogram("sweep.job_ns", &job_ns);
+    }
 }
 
 /// Single-threaded variant (for wall-clock fidelity).
@@ -390,15 +318,10 @@ pub fn run_jobs_sequential(dm: &Arc<DistanceMatrix>, jobs: &[Job]) -> Vec<RunRep
 }
 
 fn execute(dm: &Arc<DistanceMatrix>, job: &Job) -> RunReport {
-    execute_with_cancel(dm, job, &CancelToken::none())
-}
-
-fn execute_with_cancel(dm: &Arc<DistanceMatrix>, job: &Job, cancel: &CancelToken) -> RunReport {
     dcn_util::failpoint::hit("sweep.job_eval");
     let mut config = SimConfig {
         checkpoints: job.checkpoints.clone(),
         seed: job.seed,
-        cancel: cancel.clone(),
         ..SimConfig::default()
     };
     // Stream the workload: O(1) memory in its length.
@@ -412,62 +335,13 @@ fn execute_with_cancel(dm: &Arc<DistanceMatrix>, job: &Job, cancel: &CancelToken
     report
 }
 
-/// Supervision policy for [`run_jobs_supervised`].
-#[derive(Clone, Debug)]
-pub struct Supervisor {
-    /// Journal key namespace, conventionally the `repro_figures` target
-    /// name (`"demand"`). Keys must be stable across runs for `--resume`
-    /// to match completed jobs.
-    pub scope: String,
-    /// Extra attempts after the first failed one (so a job executes at
-    /// most `retries + 1` times).
-    pub retries: u32,
-    /// Backoff before retry `k` (1-based): `backoff_base << (k-1)` —
-    /// deterministic, so injected-failure schedules replay identically.
-    pub backoff_base: Duration,
-    /// Per-attempt wall-clock budget, observed cooperatively at simulator
-    /// chunk boundaries. `None` = no deadline.
-    pub deadline: Option<Duration>,
-}
+/// Extra attempts [`run_jobs_supervised`] makes after a job's first failed
+/// one, so a job executes at most `RETRIES + 1` times.
+pub const RETRIES: u32 = 2;
 
-impl Default for Supervisor {
-    fn default() -> Self {
-        Self {
-            scope: String::new(),
-            retries: 2,
-            backoff_base: Duration::from_millis(10),
-            deadline: None,
-        }
-    }
-}
-
-impl Supervisor {
-    /// A supervisor namespaced under `scope` with the default policy.
-    pub fn scoped(scope: impl Into<String>) -> Self {
-        Self {
-            scope: scope.into(),
-            ..Default::default()
-        }
-    }
-
-    /// A copy with the given retry budget.
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
-
-    /// A copy with the given backoff base (use `Duration::ZERO` in tests).
-    pub fn with_backoff(mut self, backoff_base: Duration) -> Self {
-        self.backoff_base = backoff_base;
-        self
-    }
-
-    /// A copy with a per-attempt deadline.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-}
+/// Backoff before retry `k` (1-based): `BACKOFF_BASE << (k - 1)` —
+/// deterministic, so injected-failure schedules replay identically.
+pub const BACKOFF_BASE: Duration = Duration::from_millis(10);
 
 /// Structured record of a job that exhausted its retry budget.
 #[derive(Clone, Debug, Serialize)]
@@ -476,11 +350,11 @@ pub struct JobFailure {
     pub index: usize,
     /// The job's journal key (scope + index + configuration fingerprint).
     pub key: String,
-    /// `"panic"` or `"deadline"`.
+    /// Why the last attempt failed: always `"panic"`.
     pub reason: String,
-    /// Panic payload of the last attempt, or the deadline description.
+    /// Panic payload of the last attempt.
     pub detail: String,
-    /// Attempts made (`retries + 1` when quarantined).
+    /// Attempts made (`RETRIES + 1` when quarantined).
     pub attempts: u32,
     /// Wall-clock seconds from first attempt to quarantine.
     pub elapsed_secs: f64,
@@ -514,25 +388,33 @@ impl JobOutcome {
 }
 
 /// The deterministic journal key for job `index` of a supervised grid:
-/// scope, grid position, and the job's configuration fingerprint. A
-/// resumed run rebuilds the same grid and therefore the same keys; a
-/// *changed* grid changes the fingerprint, so stale journal entries can
-/// never masquerade as the new grid's results.
+/// scope, grid position, a readable summary of the job, and a 64-bit
+/// digest of the job's whole `Debug` rendering. Every field of a [`Job`]
+/// is plain data, so the rendering — and the key — is a pure function of
+/// the job value. A resumed run rebuilds the same grid and therefore the
+/// same keys; a *changed* job (another trace length or seed, other
+/// checkpoints, another forecast) changes the digest, so stale journal
+/// entries can never masquerade as the new grid's results.
 pub fn job_key(scope: &str, index: usize, job: &Job) -> String {
+    let mut digest = FxHasher::default();
+    digest.write(format!("{job:?}").as_bytes());
     format!(
-        "{scope}#{index}:{}/b={}/alpha={}/seed={}/{}",
+        "{scope}#{index}:{}/b={}/alpha={}/seed={}/{}/{:016x}",
         job.algorithm.label(),
         job.b,
         job.alpha,
         job.seed,
-        job.trace.name()
+        job.trace.name(),
+        digest.finish()
     )
 }
 
 /// [`run_jobs`] with fault tolerance: each job runs under `catch_unwind`
-/// with `supervisor`'s retry budget, deterministic exponential backoff and
-/// optional per-attempt deadline. Jobs that exhaust the budget are
+/// with a budget of [`RETRIES`] retries and a deterministic exponential
+/// backoff from [`BACKOFF_BASE`]. Jobs that exhaust the budget are
 /// returned as [`JobOutcome::Quarantined`] instead of unwinding the sweep.
+/// `scope` namespaces the journal keys ([`job_key`]); conventionally it is
+/// the `repro_figures` target name.
 ///
 /// When a process-global journal is installed ([`crate::journal::install`])
 /// completed jobs are recorded as they finish and already-recorded jobs
@@ -544,7 +426,7 @@ pub fn run_jobs_supervised(
     dm: &Arc<DistanceMatrix>,
     jobs: &[Job],
     threads: usize,
-    supervisor: &Supervisor,
+    scope: &str,
 ) -> Vec<JobOutcome> {
     // One global-handle read and one journal lookup per fan-out, shared by
     // every worker closure invocation.
@@ -555,7 +437,7 @@ pub fn run_jobs_supervised(
             dm,
             &jobs[index],
             index,
-            supervisor,
+            scope,
             &telemetry,
             journal.as_deref(),
         )
@@ -566,77 +448,46 @@ fn execute_supervised(
     dm: &Arc<DistanceMatrix>,
     job: &Job,
     index: usize,
-    supervisor: &Supervisor,
+    scope: &str,
     telemetry: &Telemetry,
     journal: Option<&crate::journal::RunJournal>,
 ) -> JobOutcome {
-    let key = job_key(&supervisor.scope, index, job);
-    if let Some(journal) = journal {
-        if let Some(report) = journal.lookup(&key) {
-            return JobOutcome::Completed(report);
-        }
+    let key = job_key(scope, index, job);
+    if let Some(report) = journal.and_then(|j| j.lookup(&key)) {
+        return JobOutcome::Completed(report);
     }
-    let telem_on = telemetry.is_enabled();
     let t0 = Instant::now();
     let mut attempts = 0u32;
     loop {
         attempts += 1;
-        let cancel = supervisor
-            .deadline
-            .map(CancelToken::with_deadline)
-            .unwrap_or_default();
         // AssertUnwindSafe: on Err every captured structure (scheduler,
         // stream, accumulators) is dropped with the unwound attempt; the
         // retry rebuilds all job state from the job description alone.
-        let attempt = catch_unwind(AssertUnwindSafe(|| execute_with_cancel(dm, job, &cancel)));
-        let (reason, detail) = match attempt {
-            Ok(report) if !cancel.is_cancelled() => {
+        let payload = match catch_unwind(AssertUnwindSafe(|| execute(dm, job))) {
+            Ok(report) => {
                 if let Some(journal) = journal {
                     journal.record(&key, &report);
                 }
                 return JobOutcome::Completed(report);
             }
-            Ok(_) => {
-                if telem_on {
-                    telemetry.add_counter("sweep.deadline_hits", 1);
-                }
-                (
-                    "deadline",
-                    format!(
-                        "exceeded per-attempt deadline of {:.3}s",
-                        supervisor.deadline.unwrap_or_default().as_secs_f64()
-                    ),
-                )
-            }
-            Err(payload) => {
-                if telem_on {
-                    telemetry.add_counter("sweep.panics_caught", 1);
-                }
-                ("panic", panic_message(payload.as_ref()))
-            }
+            Err(payload) => payload,
         };
-        if attempts > supervisor.retries {
-            if telem_on {
-                telemetry.add_counter("sweep.quarantined", 1);
-            }
+        telemetry.add_counter("sweep.panics_caught", 1);
+        if attempts > RETRIES {
+            telemetry.add_counter("sweep.quarantined", 1);
             return JobOutcome::Quarantined(JobFailure {
                 index,
                 key,
-                reason: reason.to_string(),
-                detail,
+                reason: "panic".to_string(),
+                detail: panic_message(payload.as_ref()),
                 attempts,
                 elapsed_secs: t0.elapsed().as_secs_f64(),
             });
         }
-        // Deterministic exponential backoff: base << (retry# - 1).
-        let backoff = supervisor.backoff_base * (1u32 << (attempts - 1).min(16));
-        if telem_on {
-            telemetry.add_counter("sweep.retries", 1);
-            telemetry.observe("sweep.retry_backoff_ns", backoff.as_nanos() as u64);
-        }
-        if !backoff.is_zero() {
-            std::thread::sleep(backoff);
-        }
+        let backoff = BACKOFF_BASE * (1u32 << (attempts - 1));
+        telemetry.add_counter("sweep.retries", 1);
+        telemetry.observe("sweep.retry_backoff_ns", backoff.as_nanos() as u64);
+        std::thread::sleep(backoff);
     }
 }
 
@@ -901,43 +752,16 @@ mod tests {
     }
 
     #[test]
-    fn shard_union_is_the_unsharded_grid_in_job_order() {
-        let dm = setup();
-        let js = jobs();
-        let full = run_jobs(&dm, &js, 2);
-        for m in 1..=4usize {
-            let mut merged: Vec<Option<RunReport>> = vec![None; js.len()];
-            for i in 0..m {
-                let shard = ShardSpec::new(i, m);
-                for (idx, report) in run_jobs_sharded(&dm, &js, 2, shard) {
-                    assert!(shard.owns(idx), "shard {shard} yielded foreign job {idx}");
-                    assert!(merged[idx].is_none(), "job {idx} produced twice");
-                    merged[idx] = Some(report);
-                }
-            }
-            for (idx, (got, want)) in merged.iter().zip(&full).enumerate() {
-                let got = got.as_ref().unwrap_or_else(|| panic!("job {idx} missing"));
-                assert_eq!(got.algorithm, want.algorithm, "m={m} job={idx}");
-                assert_eq!(
-                    got.total.routing_cost, want.total.routing_cost,
-                    "m={m} job={idx}"
-                );
-                assert_eq!(
-                    got.total.reconfigurations, want.total.reconfigurations,
-                    "m={m} job={idx}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn shard_spec_parses_and_partitions() {
         let s = ShardSpec::parse("1/3").expect("valid spec");
         assert_eq!((s.index(), s.count()), (1, 3));
         assert_eq!(s.to_string(), "1/3");
         assert!(!s.is_full());
         assert!(ShardSpec::full().is_full());
-        assert_eq!(s.owned_indices(8).collect::<Vec<_>>(), vec![1, 4, 7]);
+        assert_eq!(
+            (0..8).filter(|&i| s.owns(i)).collect::<Vec<_>>(),
+            vec![1, 4, 7]
+        );
         // Every index is owned by exactly one shard.
         for n in [0usize, 1, 7, 20] {
             for m in 1..=5usize {
@@ -1001,8 +825,7 @@ mod tests {
         let js = jobs();
         let plain = run_jobs(&dm, &js, 2);
         for threads in [1usize, 4] {
-            let sup = Supervisor::scoped("test").with_backoff(Duration::ZERO);
-            let outcomes = run_jobs_supervised(&dm, &js, threads, &sup);
+            let outcomes = run_jobs_supervised(&dm, &js, threads, "test");
             assert_eq!(outcomes.len(), plain.len());
             for (i, (o, want)) in outcomes.iter().zip(&plain).enumerate() {
                 let got = o
@@ -1010,32 +833,6 @@ mod tests {
                     .unwrap_or_else(|| panic!("job {i} unexpectedly quarantined"));
                 assert_eq!(canonical(got), canonical(want), "threads={threads} job={i}");
             }
-        }
-    }
-
-    #[test]
-    fn supervised_deadline_quarantines_with_structured_failure() {
-        // A zero deadline trips before the first chunk of every attempt:
-        // the job must exhaust its budget and come back as a structured
-        // quarantine row, not a panic and not a bogus report.
-        let dm = setup();
-        let js = &jobs()[..2];
-        let sup = Supervisor::scoped("test")
-            .with_retries(1)
-            .with_backoff(Duration::ZERO)
-            .with_deadline(Duration::ZERO);
-        let outcomes = run_jobs_supervised(&dm, js, 2, &sup);
-        for (i, o) in outcomes.iter().enumerate() {
-            let failure = o
-                .failure()
-                .unwrap_or_else(|| panic!("job {i} should have quarantined on the zero deadline"));
-            assert_eq!(failure.index, i);
-            assert_eq!(failure.reason, "deadline");
-            assert_eq!(failure.attempts, 2, "retries=1 means 2 attempts");
-            assert!(failure.key.starts_with("test#"), "key: {}", failure.key);
-            // The failure row serializes (it lands in QUARANTINE artifacts).
-            let json = dcn_util::json::to_json_string(failure).unwrap();
-            assert!(json.contains("\"reason\":\"deadline\""), "{json}");
         }
     }
 
@@ -1060,6 +857,35 @@ mod tests {
             again
         });
         assert!(keys[0].contains("/b=2/"), "fingerprint in key: {}", keys[0]);
+        // Jobs that differ only where the readable summary is silent — the
+        // trace's length or seed, or the checkpoint grid — must still get
+        // distinct keys, or a resume at another scale replays stale rows.
+        let base = &js[0];
+        let variants = [
+            Job {
+                trace: TraceSpec::Uniform {
+                    num_racks: 10,
+                    len: 6000,
+                    seed: 5,
+                },
+                ..base.clone()
+            },
+            Job {
+                trace: base.trace.with_seed(6),
+                ..base.clone()
+            },
+            Job {
+                checkpoints: vec![1500, 3000],
+                ..base.clone()
+            },
+        ];
+        for variant in &variants {
+            assert_ne!(
+                job_key("demand", 0, variant),
+                keys[0],
+                "{variant:?} must not share the key of {base:?}"
+            );
+        }
     }
 
     #[test]

@@ -180,7 +180,5 @@ fn only_a_multi_checkpoint_series_claims_executor_jobs() {
         "one checkpoint ran on the executor: {:?}",
         sweep_keys(&after_single)
     );
-    if dcn_telemetry::compiled() {
-        assert_eq!(after_multi.counters.get("sweep.jobs"), Some(&3));
-    }
+    assert_eq!(after_multi.counters.get("sweep.jobs"), Some(&3));
 }

@@ -11,7 +11,7 @@
 //! `FAULT_LOCK`.
 
 use dcn_core::algorithms::AlgorithmKind;
-use dcn_core::sweep::{run_jobs, run_jobs_supervised, Job, Supervisor};
+use dcn_core::sweep::{run_jobs, run_jobs_supervised, Job, RETRIES};
 use dcn_core::{journal, RunReport};
 use dcn_topology::{builders, DistanceMatrix};
 use dcn_traces::TraceSpec;
@@ -56,10 +56,6 @@ fn canonical(r: &RunReport) -> String {
     r.to_json()
 }
 
-fn fast_supervisor(scope: &str) -> Supervisor {
-    Supervisor::scoped(scope).with_backoff(Duration::ZERO)
-}
-
 #[test]
 fn injected_panic_is_retried_to_success_and_counted() {
     let _g = locked();
@@ -76,7 +72,7 @@ fn injected_panic_is_retried_to_success_and_counted() {
         failpoint::Action::Panic,
         failpoint::Trigger::Nth(2),
     );
-    let outcomes = run_jobs_supervised(&dm, &js, 2, &fast_supervisor("retry"));
+    let outcomes = run_jobs_supervised(&dm, &js, 2, "retry");
     failpoint::disarm("sweep.job_eval");
     dcn_telemetry::install_global(dcn_telemetry::Telemetry::disabled());
 
@@ -87,17 +83,15 @@ fn injected_panic_is_retried_to_success_and_counted() {
             .unwrap_or_else(|| panic!("job {i} quarantined despite retry budget"));
         assert_eq!(&canonical(got), want, "job {i} must match the clean run");
     }
-    if dcn_telemetry::compiled() {
-        let snap = sink.drain();
-        assert_eq!(snap.counters.get("sweep.panics_caught"), Some(&1));
-        assert_eq!(snap.counters.get("sweep.retries"), Some(&1));
-        assert!(!snap.counters.contains_key("sweep.quarantined"));
-        let backoff = snap
-            .histograms
-            .get("sweep.retry_backoff_ns")
-            .expect("retry backoff histogram");
-        assert_eq!(backoff.count, 1);
-    }
+    let snap = sink.drain();
+    assert_eq!(snap.counters.get("sweep.panics_caught"), Some(&1));
+    assert_eq!(snap.counters.get("sweep.retries"), Some(&1));
+    assert!(!snap.counters.contains_key("sweep.quarantined"));
+    let backoff = snap
+        .histograms
+        .get("sweep.retry_backoff_ns")
+        .expect("retry backoff histogram");
+    assert_eq!(backoff.count, 1);
 }
 
 #[test]
@@ -113,8 +107,7 @@ fn exhausted_retries_quarantine_instead_of_aborting() {
         failpoint::Action::Panic,
         failpoint::Trigger::Always,
     );
-    let sup = fast_supervisor("quarantine").with_retries(1);
-    let outcomes = run_jobs_supervised(&dm, &js, 2, &sup);
+    let outcomes = run_jobs_supervised(&dm, &js, 2, "quarantine");
     failpoint::disarm("sim.chunk");
 
     assert_eq!(outcomes.len(), js.len());
@@ -124,13 +117,17 @@ fn exhausted_retries_quarantine_instead_of_aborting() {
             .unwrap_or_else(|| panic!("job {i} should have quarantined"));
         assert_eq!(f.index, i);
         assert_eq!(f.reason, "panic");
-        assert_eq!(f.attempts, 2);
+        assert_eq!(f.attempts, RETRIES + 1);
+        assert!(f.key.starts_with("quarantine#"), "key: {}", f.key);
         assert!(
             f.detail.contains("sim.chunk"),
             "panic payload should be preserved: {}",
             f.detail
         );
         assert!(f.elapsed_secs >= 0.0);
+        // The failure row serializes (it lands in QUARANTINE artifacts).
+        let json = dcn_util::json::to_json_string(f).unwrap();
+        assert!(json.contains("\"reason\":\"panic\""), "{json}");
     }
 }
 
@@ -148,7 +145,7 @@ fn claim_site_kill_escapes_supervision() {
         failpoint::Action::Panic,
         failpoint::Trigger::Nth(2),
     );
-    let r = std::panic::catch_unwind(|| run_jobs_supervised(&dm, &js, 1, &fast_supervisor("kill")));
+    let r = std::panic::catch_unwind(|| run_jobs_supervised(&dm, &js, 1, "kill"));
     failpoint::disarm("sweep.job_claim");
     assert!(r.is_err(), "claim-site panic must kill the sweep");
 }
@@ -172,8 +169,7 @@ fn kill_then_resume_reproduces_the_fault_free_run() {
         failpoint::Action::Panic,
         failpoint::Trigger::Nth(4),
     );
-    let killed =
-        std::panic::catch_unwind(|| run_jobs_supervised(&dm, &js, 1, &fast_supervisor("resume")));
+    let killed = std::panic::catch_unwind(|| run_jobs_supervised(&dm, &js, 1, "resume"));
     failpoint::disarm("sweep.job_claim");
     journal::uninstall();
     assert!(killed.is_err(), "the armed claim failpoint must kill run 1");
@@ -182,7 +178,7 @@ fn kill_then_resume_reproduces_the_fault_free_run() {
     let resumed_journal = journal::RunJournal::open(&path, true).unwrap();
     assert_eq!(resumed_journal.len(), 3, "three jobs before the kill");
     journal::install(resumed_journal);
-    let outcomes = run_jobs_supervised(&dm, &js, 4, &fast_supervisor("resume"));
+    let outcomes = run_jobs_supervised(&dm, &js, 4, "resume");
     journal::uninstall();
 
     for (i, (o, want)) in outcomes.iter().zip(&clean).enumerate() {
@@ -211,7 +207,7 @@ fn delay_failpoint_slows_but_does_not_change_results() {
         failpoint::Action::Delay(Duration::from_millis(1)),
         failpoint::Trigger::Percent(25),
     );
-    let outcomes = run_jobs_supervised(&dm, &js, 2, &fast_supervisor("delay"));
+    let outcomes = run_jobs_supervised(&dm, &js, 2, "delay");
     failpoint::disarm("sim.chunk");
 
     for (i, (o, want)) in outcomes.iter().zip(&clean).enumerate() {

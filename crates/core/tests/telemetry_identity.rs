@@ -4,8 +4,7 @@
 //! the one field defined to vary) to the same run with telemetry disabled.
 //! RNG streams, cost accounting and checkpoint grids may not shift by one
 //! event. Alongside the identity, the enabled run must actually have
-//! recorded something (when the layer is compiled in), so the property
-//! cannot pass vacuously.
+//! recorded something, so the property cannot pass vacuously.
 
 use dcn_core::algorithms::bma::Bma;
 use dcn_core::algorithms::oblivious::Oblivious;
@@ -105,19 +104,17 @@ fn check_identity(racks: usize, len: usize, seed: u64, batch: usize) {
             canonical_json(on),
             "{name} b={batch}: telemetry perturbed the report"
         );
-        if dcn_telemetry::compiled() {
-            let snap = sink.snapshot();
-            assert_eq!(
-                snap.counters.get("serve.requests").copied(),
-                Some(len as u64),
-                "{name}: enabled run must count its requests"
-            );
-            let hist = snap
-                .histograms
-                .get("serve.chunk_ns")
-                .unwrap_or_else(|| panic!("{name}: chunk latency histogram missing"));
-            assert!(hist.count > 0 && hist.percentile(99) >= hist.percentile(50));
-        }
+        let snap = sink.snapshot();
+        assert_eq!(
+            snap.counters.get("serve.requests").copied(),
+            Some(len as u64),
+            "{name}: enabled run must count its requests"
+        );
+        let hist = snap
+            .histograms
+            .get("serve.chunk_ns")
+            .unwrap_or_else(|| panic!("{name}: chunk latency histogram missing"));
+        assert!(hist.count > 0 && hist.percentile(99) >= hist.percentile(50));
     }
 }
 
@@ -151,7 +148,7 @@ fn pinned_corner_cases() {
 #[test]
 fn supervised_sweep_reports_identical_with_telemetry_on_or_off() {
     use dcn_core::algorithms::AlgorithmKind;
-    use dcn_core::sweep::{run_jobs_supervised, Job, Supervisor};
+    use dcn_core::sweep::{run_jobs_supervised, Job};
     use dcn_traces::TraceSpec;
 
     let net = builders::fat_tree_with_racks(12);
@@ -170,11 +167,10 @@ fn supervised_sweep_reports_identical_with_telemetry_on_or_off() {
             },
         })
         .collect();
-    let sup = Supervisor::scoped("telem");
 
     // Off: whatever global handle is installed right now is disabled (no
     // test in this binary installs one before this point).
-    let off: Vec<String> = run_jobs_supervised(&dm, &jobs, 2, &sup)
+    let off: Vec<String> = run_jobs_supervised(&dm, &jobs, 2, "telem")
         .iter()
         .map(|o| canonical_json(o.report().expect("failure-free").clone()))
         .collect();
@@ -183,24 +179,22 @@ fn supervised_sweep_reports_identical_with_telemetry_on_or_off() {
     // same way `repro_figures --telemetry` wires it.
     let sink = Telemetry::enabled();
     dcn_telemetry::install_global(sink.clone());
-    let on: Vec<String> = run_jobs_supervised(&dm, &jobs, 2, &sup)
+    let on: Vec<String> = run_jobs_supervised(&dm, &jobs, 2, "telem")
         .iter()
         .map(|o| canonical_json(o.report().expect("failure-free").clone()))
         .collect();
     dcn_telemetry::install_global(Telemetry::disabled());
 
     assert_eq!(off, on, "telemetry perturbed a supervised sweep");
-    if dcn_telemetry::compiled() {
-        let snap = sink.drain();
-        assert_eq!(snap.counters.get("sweep.jobs").copied(), Some(5));
-        assert_eq!(
-            snap.counters.get("serve.requests").copied(),
-            Some(5 * 2000),
-            "each supervised job must flush its serve counters"
-        );
-        // Failure-free: the supervision counters stay silent rather than
-        // emitting zero-valued noise.
-        assert!(!snap.counters.contains_key("sweep.retries"));
-        assert!(!snap.counters.contains_key("sweep.quarantined"));
-    }
+    let snap = sink.drain();
+    assert_eq!(snap.counters.get("sweep.jobs").copied(), Some(5));
+    assert_eq!(
+        snap.counters.get("serve.requests").copied(),
+        Some(5 * 2000),
+        "each supervised job must flush its serve counters"
+    );
+    // Failure-free: the supervision counters stay silent rather than
+    // emitting zero-valued noise.
+    assert!(!snap.counters.contains_key("sweep.retries"));
+    assert!(!snap.counters.contains_key("sweep.quarantined"));
 }

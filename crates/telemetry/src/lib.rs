@@ -1,8 +1,8 @@
 //! # dcn-telemetry
 //!
-//! Dependency-free metrics for the simulator, the executors and the figure
-//! harness: [`Counter`] / [`Gauge`] / log2-bucketed integer [`Histogram`]
-//! recorders, merged at flush time into a shared [`Telemetry`] handle.
+//! Dependency-free metrics for the simulator, the executor and the figure
+//! harness: [`Counter`] and log2-bucketed integer [`Histogram`] recorders,
+//! merged at flush time into a shared [`Telemetry`] handle.
 //!
 //! ## Hot-path discipline
 //!
@@ -16,18 +16,15 @@
 //!
 //! Telemetry must never perturb results: recorders draw no randomness,
 //! change no cost accounting, and nothing recorded here enters a
-//! `RunReport` — reports are byte-identical with telemetry enabled,
-//! disabled, or compiled off (pinned by a proptest in `dcn-core`).
+//! `RunReport` — reports are byte-identical with telemetry enabled or
+//! disabled (pinned by a proptest in `dcn-core`).
 //!
-//! ## Disabled and compiled-off
+//! ## Enabled and disabled
 //!
 //! A disabled handle ([`Telemetry::disabled`], the default) makes every
-//! merge a no-op behind one branch. Building with
-//! `RUSTFLAGS="--cfg dcn_telemetry_off"` removes the layer entirely:
-//! every recorder becomes a zero-sized type and every method an empty
-//! inline body, so instrumented call sites compile to exactly the
-//! uninstrumented code. [`compiled`] reports which flavor is active
-//! (benches use it to label their overhead points).
+//! merge a no-op behind one branch, so a call site pays that branch per
+//! flush and nothing else; `micro_batch`'s `batch_telemetry` group gates
+//! the enabled handle's cost against the disabled one.
 //!
 //! ## Export
 //!
@@ -40,14 +37,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-#[cfg(not(dcn_telemetry_off))]
 use std::sync::{Arc, Mutex};
-
-/// Whether the telemetry layer is compiled in (`false` under
-/// `--cfg dcn_telemetry_off`, where every recorder is a ZST).
-pub const fn compiled() -> bool {
-    cfg!(not(dcn_telemetry_off))
-}
 
 // ---------------------------------------------------------------------------
 // Local recorders (hot-path side: plain integer cells, no sharing)
@@ -56,7 +46,7 @@ pub const fn compiled() -> bool {
 /// A component-local event counter: one u64, bumped on the hot path,
 /// drained into the registry at flush.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Counter(#[cfg(not(dcn_telemetry_off))] u64);
+pub struct Counter(u64);
 
 impl Counter {
     /// Adds one.
@@ -67,62 +57,20 @@ impl Counter {
 
     /// Adds `n`.
     #[inline(always)]
-    pub fn add(&mut self, _n: u64) {
-        #[cfg(not(dcn_telemetry_off))]
-        {
-            self.0 += _n;
-        }
+    pub fn add(&mut self, n: u64) {
+        self.0 += n;
     }
 
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
-        #[cfg(not(dcn_telemetry_off))]
-        return self.0;
-        #[cfg(dcn_telemetry_off)]
-        0
+        self.0
     }
 
     /// Returns the value and resets to zero (flush-and-drain).
     #[inline]
     pub fn take(&mut self) -> u64 {
-        #[cfg(not(dcn_telemetry_off))]
-        return std::mem::take(&mut self.0);
-        #[cfg(dcn_telemetry_off)]
-        0
-    }
-}
-
-/// A component-local last/extreme-value cell.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Gauge(#[cfg(not(dcn_telemetry_off))] i64);
-
-impl Gauge {
-    /// Overwrites the value.
-    #[inline(always)]
-    pub fn set(&mut self, _v: i64) {
-        #[cfg(not(dcn_telemetry_off))]
-        {
-            self.0 = _v;
-        }
-    }
-
-    /// Folds in a maximum.
-    #[inline(always)]
-    pub fn fold_max(&mut self, _v: i64) {
-        #[cfg(not(dcn_telemetry_off))]
-        {
-            self.0 = self.0.max(_v);
-        }
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> i64 {
-        #[cfg(not(dcn_telemetry_off))]
-        return self.0;
-        #[cfg(dcn_telemetry_off)]
-        0
+        std::mem::take(&mut self.0)
     }
 }
 
@@ -154,22 +102,16 @@ pub fn bucket_upper_bound(bucket: usize) -> u64 {
 /// allocation — so it is safe to call once per serve chunk or per job.
 #[derive(Clone, Debug)]
 pub struct Histogram {
-    #[cfg(not(dcn_telemetry_off))]
     count: u64,
-    #[cfg(not(dcn_telemetry_off))]
     sum: u64,
-    #[cfg(not(dcn_telemetry_off))]
     buckets: [u64; HIST_BUCKETS],
 }
 
 impl Default for Histogram {
     fn default() -> Self {
         Self {
-            #[cfg(not(dcn_telemetry_off))]
             count: 0,
-            #[cfg(not(dcn_telemetry_off))]
             sum: 0,
-            #[cfg(not(dcn_telemetry_off))]
             buckets: [0; HIST_BUCKETS],
         }
     }
@@ -178,22 +120,16 @@ impl Default for Histogram {
 impl Histogram {
     /// Records one observation.
     #[inline(always)]
-    pub fn record(&mut self, _value: u64) {
-        #[cfg(not(dcn_telemetry_off))]
-        {
-            self.buckets[bucket_index(_value)] += 1;
-            self.count += 1;
-            self.sum = self.sum.saturating_add(_value);
-        }
+    pub fn record(&mut self, value: u64) {
+        self.buckets[bucket_index(value)] += 1;
+        self.count += 1;
+        self.sum = self.sum.saturating_add(value);
     }
 
     /// Number of observations.
     #[inline]
     pub fn count(&self) -> u64 {
-        #[cfg(not(dcn_telemetry_off))]
-        return self.count;
-        #[cfg(dcn_telemetry_off)]
-        0
+        self.count
     }
 
     /// Whether nothing has been recorded.
@@ -204,28 +140,22 @@ impl Histogram {
 
     /// The portable (sparse) form for merging and export.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        #[cfg(not(dcn_telemetry_off))]
-        {
-            HistogramSnapshot {
-                count: self.count,
-                sum: self.sum,
-                buckets: self
-                    .buckets
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &c)| c > 0)
-                    .map(|(k, &c)| (k as u8, c))
-                    .collect(),
-            }
+        HistogramSnapshot {
+            count: self.count,
+            sum: self.sum,
+            buckets: self
+                .buckets
+                .iter()
+                .enumerate()
+                .filter(|(_, &c)| c > 0)
+                .map(|(k, &c)| (k as u8, c))
+                .collect(),
         }
-        #[cfg(dcn_telemetry_off)]
-        HistogramSnapshot::default()
     }
 }
 
 // ---------------------------------------------------------------------------
-// Snapshots (flush/export side: always compiled — the merge tooling must
-// be able to read artifacts produced by instrumented builds)
+// Snapshots (flush/export side)
 // ---------------------------------------------------------------------------
 
 /// Sparse portable histogram: sorted `(bucket, count)` pairs.
@@ -430,22 +360,19 @@ fn prom_name(name: &str) -> String {
 // The handle
 // ---------------------------------------------------------------------------
 
-#[cfg(not(dcn_telemetry_off))]
 struct Registry {
     store: Mutex<Snapshot>,
 }
 
 /// Shared sink local recorders flush into. Cloning shares the registry
 /// (it is an `Arc`); the default handle is disabled and every method on
-/// it is a no-op behind one branch. Under `--cfg dcn_telemetry_off` the
-/// handle is a ZST and the branch itself is compiled out.
+/// it is a no-op behind one branch.
 ///
 /// All methods lock the registry — they are **flush-path** operations.
 /// Hot loops accumulate into local [`Counter`]s / [`Histogram`]s and call
 /// these once per run / worker / chunk boundary.
 #[derive(Clone, Default)]
 pub struct Telemetry {
-    #[cfg(not(dcn_telemetry_off))]
     inner: Option<Arc<Registry>>,
 }
 
@@ -460,11 +387,9 @@ impl fmt::Debug for Telemetry {
 }
 
 impl Telemetry {
-    /// A live handle with a fresh registry (a ZST no-op when the layer is
-    /// compiled off).
+    /// A live handle with a fresh registry.
     pub fn enabled() -> Self {
         Self {
-            #[cfg(not(dcn_telemetry_off))]
             inner: Some(Arc::new(Registry {
                 store: Mutex::new(Snapshot::default()),
             })),
@@ -479,13 +404,9 @@ impl Telemetry {
     /// Whether flushes into this handle are recorded.
     #[inline(always)]
     pub fn is_enabled(&self) -> bool {
-        #[cfg(not(dcn_telemetry_off))]
-        return self.inner.is_some();
-        #[cfg(dcn_telemetry_off)]
-        false
+        self.inner.is_some()
     }
 
-    #[cfg(not(dcn_telemetry_off))]
     fn with_store(&self, f: impl FnOnce(&mut Snapshot)) {
         if let Some(inner) = &self.inner {
             f(&mut inner.store.lock().expect("telemetry registry poisoned"));
@@ -494,57 +415,51 @@ impl Telemetry {
 
     /// Adds to a named counter (no-op when disabled or `v == 0`, so
     /// drained recorders that saw nothing leave no key behind).
-    pub fn add_counter(&self, _name: &str, _v: u64) {
-        #[cfg(not(dcn_telemetry_off))]
-        if _v > 0 {
-            self.with_store(|s| *s.counters.entry(_name.to_string()).or_insert(0) += _v);
+    pub fn add_counter(&self, name: &str, v: u64) {
+        if v > 0 {
+            self.with_store(|s| *s.counters.entry(name.to_string()).or_insert(0) += v);
         }
     }
 
     /// Folds a named gauge toward its maximum.
-    pub fn gauge_max(&self, _name: &str, _v: i64) {
-        #[cfg(not(dcn_telemetry_off))]
+    pub fn gauge_max(&self, name: &str, v: i64) {
         self.with_store(|s| {
-            let e = s.gauges.entry(_name.to_string()).or_insert(i64::MIN);
-            *e = (*e).max(_v);
+            let e = s.gauges.entry(name.to_string()).or_insert(i64::MIN);
+            *e = (*e).max(v);
         });
     }
 
     /// Records a single observation into a named histogram (flush-path
     /// convenience; hot loops use a local [`Histogram`] and
     /// [`Telemetry::merge_histogram`]).
-    pub fn observe(&self, _name: &str, _v: u64) {
-        #[cfg(not(dcn_telemetry_off))]
+    pub fn observe(&self, name: &str, v: u64) {
         self.with_store(|s| {
-            let h = s.histograms.entry(_name.to_string()).or_default();
+            let h = s.histograms.entry(name.to_string()).or_default();
             let mut local = Histogram::default();
-            local.record(_v);
+            local.record(v);
             h.absorb(&local.snapshot());
         });
     }
 
     /// Merges a local histogram recorder into a named histogram.
-    pub fn merge_histogram(&self, _name: &str, _h: &Histogram) {
-        #[cfg(not(dcn_telemetry_off))]
-        if !_h.is_empty() {
+    pub fn merge_histogram(&self, name: &str, h: &Histogram) {
+        if !h.is_empty() {
             self.with_store(|s| {
                 s.histograms
-                    .entry(_name.to_string())
+                    .entry(name.to_string())
                     .or_default()
-                    .absorb(&_h.snapshot())
+                    .absorb(&h.snapshot())
             });
         }
     }
 
     /// Merges a whole snapshot (used by shard merging and tests).
-    pub fn merge(&self, _snapshot: &Snapshot) {
-        #[cfg(not(dcn_telemetry_off))]
-        self.with_store(|s| s.absorb(_snapshot));
+    pub fn merge(&self, snapshot: &Snapshot) {
+        self.with_store(|s| s.absorb(snapshot));
     }
 
     /// A copy of everything flushed so far (empty when disabled).
     pub fn snapshot(&self) -> Snapshot {
-        #[cfg(not(dcn_telemetry_off))]
         if let Some(inner) = &self.inner {
             return inner
                 .store
@@ -558,7 +473,6 @@ impl Telemetry {
     /// Takes everything flushed so far, leaving the registry empty —
     /// the per-target export boundary of `repro_figures --telemetry`.
     pub fn drain(&self) -> Snapshot {
-        #[cfg(not(dcn_telemetry_off))]
         if let Some(inner) = &self.inner {
             return std::mem::take(&mut *inner.store.lock().expect("telemetry registry poisoned"));
         }
@@ -570,26 +484,21 @@ impl Telemetry {
 // Process-global handle
 // ---------------------------------------------------------------------------
 
-#[cfg(not(dcn_telemetry_off))]
 static GLOBAL: Mutex<Option<Telemetry>> = Mutex::new(None);
 
 /// Installs the process-global handle (`repro_figures --telemetry` does
 /// this once at startup). Components that take no explicit handle —
 /// `SimConfig::default()`, the sweep executor — pick it up via
 /// [`global`]. Installing a disabled handle uninstalls.
-pub fn install_global(_telemetry: Telemetry) {
-    #[cfg(not(dcn_telemetry_off))]
-    {
-        *GLOBAL.lock().expect("global telemetry poisoned") =
-            _telemetry.is_enabled().then_some(_telemetry);
-    }
+pub fn install_global(telemetry: Telemetry) {
+    *GLOBAL.lock().expect("global telemetry poisoned") =
+        telemetry.is_enabled().then_some(telemetry);
 }
 
 /// The process-global handle; disabled unless [`install_global`] was
 /// called. Cheap (one mutex lock + `Arc` clone) but not hot-path cheap —
 /// call once per run/fan-out, not per request.
 pub fn global() -> Telemetry {
-    #[cfg(not(dcn_telemetry_off))]
     if let Some(t) = GLOBAL.lock().expect("global telemetry poisoned").as_ref() {
         return t.clone();
     }
@@ -600,9 +509,7 @@ pub fn global() -> Telemetry {
 mod tests {
     use super::*;
 
-    // Value-asserting tests only make sense with the layer compiled in;
-    // under --cfg dcn_telemetry_off everything is a no-op by design.
-    #[cfg(not(dcn_telemetry_off))]
+    // Value-asserting tests of the recorders, the registry and its exports.
     mod compiled_in {
         use super::super::*;
 
@@ -749,12 +656,11 @@ mod tests {
             assert_eq!(c.get(), 5);
             assert_eq!(c.take(), 5);
             assert_eq!(c.get(), 0);
-            let mut g = Gauge::default();
-            g.fold_max(3);
-            g.fold_max(-1);
-            assert_eq!(g.get(), 3);
-            g.set(-7);
-            assert_eq!(g.get(), -7);
+            // Gauges live in the registry only and fold toward their max.
+            let t = Telemetry::enabled();
+            t.gauge_max("g", 3);
+            t.gauge_max("g", -1);
+            assert_eq!(t.snapshot().gauges["g"], 3);
         }
 
         #[test]
@@ -778,10 +684,5 @@ mod tests {
         t.observe("z", 9);
         assert!(t.snapshot().is_empty());
         assert!(t.drain().is_empty());
-    }
-
-    #[test]
-    fn compiled_flag_matches_cfg() {
-        assert_eq!(compiled(), cfg!(not(dcn_telemetry_off)));
     }
 }

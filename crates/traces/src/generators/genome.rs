@@ -19,6 +19,7 @@ use crate::generators::all_pairs;
 use crate::sampler::{zipf_weights, AliasTable};
 use crate::source::{RequestSource, SeededSource, SourceKernel};
 use crate::trace::Trace;
+use dcn_topology::pair::DENSE_RACK_LIMIT;
 use dcn_topology::Pair;
 use dcn_util::json::{parse_json, to_json_string, JsonValue};
 use dcn_util::rngx::{derive_seed, shuffle};
@@ -29,6 +30,11 @@ use serde::Serialize;
 /// Number of interpolation steps a [`Segment::ZipfRamp`] quantizes its
 /// exponent ramp into (one alias table per step).
 pub const ZIPF_RAMP_STEPS: usize = 8;
+
+/// Most requests a valid genome may emit. Replays materialize genomes for
+/// the offline baseline, so [`Genome::validate`] bounds the total before
+/// any allocation is sized by it.
+pub const MAX_GENOME_LEN: usize = 100_000_000;
 
 /// One typed segment of a trace genome. `len()` requests are emitted from
 /// the segment's own seeded RNG stream.
@@ -94,14 +100,21 @@ pub enum Segment {
 impl Segment {
     /// Requests this segment emits.
     pub fn len(&self) -> usize {
+        self.checked_len()
+            .expect("star block_len × blocks overflows usize")
+    }
+
+    /// Requests this segment emits, or `None` when a star segment's
+    /// `block_len × blocks` overflows.
+    fn checked_len(&self) -> Option<usize> {
         match *self {
             Segment::Uniform { len, .. }
             | Segment::Hotspot { len, .. }
             | Segment::Permutation { len, .. }
-            | Segment::ZipfRamp { len, .. } => len,
+            | Segment::ZipfRamp { len, .. } => Some(len),
             Segment::StarBlocks {
                 block_len, blocks, ..
-            } => block_len * blocks,
+            } => block_len.checked_mul(blocks),
         }
     }
 
@@ -222,12 +235,19 @@ impl Genome {
         g
     }
 
-    /// Structural validity: even rack count ≥ 4, at least one segment,
-    /// every segment valid for this rack count.
+    /// Structural validity: even rack count in `4..=`[`DENSE_RACK_LIMIT`],
+    /// at least one segment, every segment valid for this rack count, and
+    /// at most [`MAX_GENOME_LEN`] requests in total.
     pub fn validate(&self) -> Result<(), String> {
         if self.num_racks < 4 || self.num_racks % 2 != 0 {
             return Err(format!(
                 "genome num_racks {} must be even and >= 4",
+                self.num_racks
+            ));
+        }
+        if self.num_racks > DENSE_RACK_LIMIT {
+            return Err(format!(
+                "genome num_racks {} exceeds {DENSE_RACK_LIMIT}",
                 self.num_racks
             ));
         }
@@ -237,6 +257,13 @@ impl Genome {
         for (i, seg) in self.segments.iter().enumerate() {
             seg.validate(self.num_racks)
                 .map_err(|e| format!("segment {i}: {e}"))?;
+        }
+        let len = self
+            .segments
+            .iter()
+            .try_fold(0usize, |total, seg| total.checked_add(seg.checked_len()?));
+        if len.is_none_or(|len| len > MAX_GENOME_LEN) {
+            return Err(format!("genome len exceeds {MAX_GENOME_LEN} requests"));
         }
         Ok(())
     }
@@ -841,5 +868,44 @@ mod tests {
             assert!(g.validate().is_err(), "{g:?} should be invalid");
         }
         assert!(sample_genome().validate().is_ok());
+        // Size bounds: a rack count past the dense limit, and a star
+        // segment whose block_len × blocks overflows usize.
+        let huge_racks = Genome {
+            num_racks: 1 << 20,
+            segments: vec![Segment::Uniform { len: 5, seed: 1 }],
+        };
+        let err = huge_racks.validate().unwrap_err();
+        assert!(err.contains("num_racks 1048576"), "{err}");
+        let overflowing = Genome {
+            num_racks: 8,
+            segments: vec![Segment::StarBlocks {
+                spokes: 3,
+                block_len: 1 << 32,
+                blocks: 1 << 32,
+                seed: 1,
+            }],
+        };
+        let err = overflowing.validate().unwrap_err();
+        assert!(err.contains("len exceeds"), "{err}");
+        // The length bound is inclusive.
+        let at_limit = Genome {
+            num_racks: 8,
+            segments: vec![Segment::Uniform {
+                len: MAX_GENOME_LEN,
+                seed: 1,
+            }],
+        };
+        assert!(at_limit.validate().is_ok());
+        let past_limit = Genome {
+            num_racks: 8,
+            segments: vec![
+                Segment::Uniform {
+                    len: MAX_GENOME_LEN,
+                    seed: 1,
+                },
+                Segment::Permutation { len: 1, seed: 2 },
+            ],
+        };
+        assert!(past_limit.validate().is_err());
     }
 }

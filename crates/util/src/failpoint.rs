@@ -9,12 +9,9 @@
 //! same `DCN_FAILPOINTS` string against the same workload fires at the
 //! same hits every time.
 //!
-//! The design mirrors `dcn-telemetry`'s compile-out pattern: building with
-//! `RUSTFLAGS="--cfg dcn_failpoints_off"` turns every function here into an
-//! empty inlineable shell, so production builds can prove the layer absent.
-//! In the default build a *disarmed* registry costs one relaxed atomic load
-//! per hit — the `micro_batch` overhead point gates this staying
-//! unmeasurable.
+//! A *disarmed* registry costs one relaxed atomic load per hit — the
+//! `micro_batch` overhead point (`batch_failpoint_rbma_b12_zipf/disarmed`)
+//! gates this staying unmeasurable.
 //!
 //! # Arming grammar
 //!
@@ -36,94 +33,80 @@
 //! The base seed comes from `DCN_FAILPOINTS_SEED` (default 0) or
 //! [`set_seed`].
 
+use crate::rngx;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
-/// Reports whether failpoint support is compiled into this build.
-///
-/// `false` means the crate was built with `--cfg dcn_failpoints_off` and
-/// every registry function in this module is an empty shell.
-#[inline]
-pub const fn compiled() -> bool {
-    cfg!(not(dcn_failpoints_off))
+struct Point {
+    action: Action,
+    trigger: Trigger,
+    /// Total times the site was reached while this point was armed.
+    hits: u64,
+    /// Times the trigger matched and the action ran.
+    fired: u64,
+    /// Per-point SplitMix64 state for `Trigger::Percent` draws.
+    rng: u64,
 }
 
-#[cfg(not(dcn_failpoints_off))]
-mod imp {
-    use super::{Action, Trigger};
-    use crate::rngx;
-    use std::collections::HashMap;
-    use std::hash::{Hash, Hasher};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
+struct Registry {
+    points: HashMap<String, Point>,
+    seed: u64,
+}
 
-    pub(super) struct Point {
-        pub(super) action: Action,
-        pub(super) trigger: Trigger,
-        /// Total times the site was reached while this point was armed.
-        pub(super) hits: u64,
-        /// Times the trigger matched and the action ran.
-        pub(super) fired: u64,
-        /// Per-point SplitMix64 state for `Trigger::Percent` draws.
-        pub(super) rng: u64,
-    }
+/// Number of armed points, mirrored out of the mutex so a disarmed
+/// [`hit`] is a single relaxed load.
+static ARMED: AtomicUsize = AtomicUsize::new(0);
 
-    pub(super) struct Registry {
-        pub(super) points: HashMap<String, Point>,
-        pub(super) seed: u64,
-    }
+static REGISTRY: Mutex<Option<Registry>> = Mutex::new(None);
 
-    /// Number of armed points, mirrored out of the mutex so a disarmed
-    /// [`super::hit`] is a single relaxed load.
-    pub(super) static ARMED: AtomicUsize = AtomicUsize::new(0);
+fn with_registry<T>(f: impl FnOnce(&mut Registry) -> T) -> T {
+    // A failpoint panic that unwinds through a caller currently holding
+    // no lock still poisons this mutex if the panic started *inside*
+    // the critical section; actions therefore always run after the
+    // guard drops, and lock recovery here keeps the registry usable
+    // across caught injected panics.
+    let mut guard = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+    let reg = guard.get_or_insert_with(|| Registry {
+        points: HashMap::new(),
+        seed: std::env::var("DCN_FAILPOINTS_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0),
+    });
+    f(reg)
+}
 
-    pub(super) static REGISTRY: Mutex<Option<Registry>> = Mutex::new(None);
+fn name_stream(name: &str) -> u64 {
+    let mut h = crate::fxhash::FxHasher::default();
+    name.hash(&mut h);
+    h.finish()
+}
 
-    pub(super) fn with_registry<T>(f: impl FnOnce(&mut Registry) -> T) -> T {
-        // A failpoint panic that unwinds through a caller currently holding
-        // no lock still poisons this mutex if the panic started *inside*
-        // the critical section; actions therefore always run after the
-        // guard drops, and lock recovery here keeps the registry usable
-        // across caught injected panics.
-        let mut guard = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-        let reg = guard.get_or_insert_with(|| Registry {
-            points: HashMap::new(),
-            seed: std::env::var("DCN_FAILPOINTS_SEED")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0),
-        });
-        f(reg)
-    }
+/// Evaluates the trigger for one arrival at `name`; returns the action
+/// to execute, cloned out so the caller acts after the lock drops.
+fn check(name: &str) -> Option<Action> {
+    with_registry(|reg| {
+        let point = reg.points.get_mut(name)?;
+        point.hits += 1;
+        let fire = match point.trigger {
+            Trigger::Always => true,
+            Trigger::Nth(n) => point.hits == n,
+            Trigger::Percent(p) => rngx::splitmix64(&mut point.rng) % 100 < u64::from(p),
+        };
+        if fire {
+            point.fired += 1;
+            Some(point.action.clone())
+        } else {
+            None
+        }
+    })
+}
 
-    pub(super) fn name_stream(name: &str) -> u64 {
-        let mut h = crate::fxhash::FxHasher::default();
-        name.hash(&mut h);
-        h.finish()
-    }
-
-    /// Evaluates the trigger for one arrival at `name`; returns the action
-    /// to execute, cloned out so the caller acts after the lock drops.
-    pub(super) fn check(name: &str) -> Option<Action> {
-        with_registry(|reg| {
-            let point = reg.points.get_mut(name)?;
-            point.hits += 1;
-            let fire = match point.trigger {
-                Trigger::Always => true,
-                Trigger::Nth(n) => point.hits == n,
-                Trigger::Percent(p) => rngx::splitmix64(&mut point.rng) % 100 < u64::from(p),
-            };
-            if fire {
-                point.fired += 1;
-                Some(point.action.clone())
-            } else {
-                None
-            }
-        })
-    }
-
-    pub(super) fn sync_armed_count(reg: &Registry) {
-        ARMED.store(reg.points.len(), Ordering::Relaxed);
-    }
+fn sync_armed_count(reg: &Registry) {
+    ARMED.store(reg.points.len(), Ordering::Relaxed);
 }
 
 /// What an armed failpoint does when its trigger matches.
@@ -156,21 +139,15 @@ pub enum Trigger {
 /// inert here (use [`eval`] at sites that can return structured errors).
 #[inline]
 pub fn hit(name: &str) {
-    #[cfg(not(dcn_failpoints_off))]
-    {
-        if imp::ARMED.load(std::sync::atomic::Ordering::Relaxed) == 0 {
-            return;
-        }
-        hit_slow(name);
+    if ARMED.load(Ordering::Relaxed) == 0 {
+        return;
     }
-    #[cfg(dcn_failpoints_off)]
-    let _ = name;
+    hit_slow(name);
 }
 
-#[cfg(not(dcn_failpoints_off))]
 #[cold]
 fn hit_slow(name: &str) {
-    match imp::check(name) {
+    match check(name) {
         Some(Action::Panic) => panic!("failpoint '{name}' fired: injected panic"),
         Some(Action::Delay(d)) => std::thread::sleep(d),
         Some(Action::Error(_)) | None => {}
@@ -184,24 +161,15 @@ fn hit_slow(name: &str) {
 /// `panic` and `delay` actions behave exactly as under [`hit`].
 #[inline]
 pub fn eval(name: &str) -> Option<String> {
-    #[cfg(not(dcn_failpoints_off))]
-    {
-        if imp::ARMED.load(std::sync::atomic::Ordering::Relaxed) == 0 {
-            return None;
-        }
-        return eval_slow(name);
+    if ARMED.load(Ordering::Relaxed) == 0 {
+        return None;
     }
-    #[cfg(dcn_failpoints_off)]
-    {
-        let _ = name;
-        None
-    }
+    eval_slow(name)
 }
 
-#[cfg(not(dcn_failpoints_off))]
 #[cold]
 fn eval_slow(name: &str) -> Option<String> {
-    match imp::check(name) {
+    match check(name) {
         Some(Action::Panic) => panic!("failpoint '{name}' fired: injected panic"),
         Some(Action::Delay(d)) => {
             std::thread::sleep(d);
@@ -215,12 +183,11 @@ fn eval_slow(name: &str) -> Option<String> {
 /// Arms one failpoint programmatically. Re-arming a name resets its hit
 /// and fire counts and its RNG stream.
 pub fn arm(name: &str, action: Action, trigger: Trigger) {
-    #[cfg(not(dcn_failpoints_off))]
-    imp::with_registry(|reg| {
-        let rng_seed = crate::rngx::derive_seed(reg.seed, imp::name_stream(name));
+    with_registry(|reg| {
+        let rng_seed = rngx::derive_seed(reg.seed, name_stream(name));
         reg.points.insert(
             name.to_string(),
-            imp::Point {
+            Point {
                 action,
                 trigger,
                 hits: 0,
@@ -228,10 +195,8 @@ pub fn arm(name: &str, action: Action, trigger: Trigger) {
                 rng: rng_seed,
             },
         );
-        imp::sync_armed_count(reg);
+        sync_armed_count(reg);
     });
-    #[cfg(dcn_failpoints_off)]
-    let _ = (name, action, trigger);
 }
 
 /// Arms failpoints from a comma-separated `name=action[@trigger]` list
@@ -306,99 +271,57 @@ fn parse_trigger(tail: &str) -> Option<Trigger> {
 /// Disarms one failpoint; returns whether it was armed. Tests should
 /// disarm exactly the names they armed so parallel tests don't interfere.
 pub fn disarm(name: &str) -> bool {
-    #[cfg(not(dcn_failpoints_off))]
-    {
-        imp::with_registry(|reg| {
-            let removed = reg.points.remove(name).is_some();
-            imp::sync_armed_count(reg);
-            removed
-        })
-    }
-    #[cfg(dcn_failpoints_off)]
-    {
-        let _ = name;
-        false
-    }
+    with_registry(|reg| {
+        let removed = reg.points.remove(name).is_some();
+        sync_armed_count(reg);
+        removed
+    })
 }
 
 /// Disarms every failpoint.
 pub fn disarm_all() {
-    #[cfg(not(dcn_failpoints_off))]
-    imp::with_registry(|reg| {
+    with_registry(|reg| {
         reg.points.clear();
-        imp::sync_armed_count(reg);
+        sync_armed_count(reg);
     });
 }
 
 /// Number of currently armed failpoints.
 pub fn armed_count() -> usize {
-    #[cfg(not(dcn_failpoints_off))]
-    {
-        imp::ARMED.load(std::sync::atomic::Ordering::Relaxed)
-    }
-    #[cfg(dcn_failpoints_off)]
-    {
-        0
-    }
+    ARMED.load(Ordering::Relaxed)
 }
 
 /// Hit count for a named failpoint since it was (re-)armed.
 pub fn hits(name: &str) -> u64 {
-    #[cfg(not(dcn_failpoints_off))]
-    {
-        imp::with_registry(|reg| reg.points.get(name).map_or(0, |p| p.hits))
-    }
-    #[cfg(dcn_failpoints_off)]
-    {
-        let _ = name;
-        0
-    }
+    with_registry(|reg| reg.points.get(name).map_or(0, |p| p.hits))
 }
 
 /// Fire count for a named failpoint since it was (re-)armed.
 pub fn fired(name: &str) -> u64 {
-    #[cfg(not(dcn_failpoints_off))]
-    {
-        imp::with_registry(|reg| reg.points.get(name).map_or(0, |p| p.fired))
-    }
-    #[cfg(dcn_failpoints_off)]
-    {
-        let _ = name;
-        0
-    }
+    with_registry(|reg| reg.points.get(name).map_or(0, |p| p.fired))
 }
 
 /// Sets the base seed for percentage-trigger draws. Takes effect for
 /// failpoints armed afterwards; `DCN_FAILPOINTS_SEED` sets the initial
 /// value.
 pub fn set_seed(seed: u64) {
-    #[cfg(not(dcn_failpoints_off))]
-    imp::with_registry(|reg| reg.seed = seed);
-    #[cfg(dcn_failpoints_off)]
-    let _ = seed;
+    with_registry(|reg| reg.seed = seed);
 }
 
 /// Snapshot of `(name, hits, fired)` for every armed failpoint, for
 /// diagnostics and tests.
 pub fn snapshot() -> Vec<(String, u64, u64)> {
-    #[cfg(not(dcn_failpoints_off))]
-    {
-        let mut v: Vec<_> = imp::with_registry(|reg| {
-            reg.points
-                .iter()
-                .map(|(k, p)| (k.clone(), p.hits, p.fired))
-                .collect()
-        });
-        v.sort();
-        v
-    }
-    #[cfg(dcn_failpoints_off)]
-    {
-        Vec::new()
-    }
+    let mut v: Vec<_> = with_registry(|reg| {
+        reg.points
+            .iter()
+            .map(|(k, p)| (k.clone(), p.hits, p.fired))
+            .collect()
+    });
+    v.sort();
+    v
 }
 
-#[cfg(all(test, not(dcn_failpoints_off)))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

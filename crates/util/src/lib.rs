@@ -25,7 +25,7 @@
 //!   Fisher–Yates [`rngx::shuffle`] whose draw order the byte-identical
 //!   stream guarantees rest on.
 //! * [`failpoint`] — deterministic fault injection: named, seeded,
-//!   replayable failure sites compiled out under `--cfg dcn_failpoints_off`.
+//!   replayable failure sites that cost one relaxed load while disarmed.
 //! * [`fsx`] — crash-safe filesystem primitives: atomic write-then-rename
 //!   and an advisory create-new file lock.
 
