@@ -8,6 +8,7 @@ use dcn_core::algorithms::AlgorithmKind;
 use dcn_core::sweep::{run_jobs, steal_map, Job, ShardSpec};
 use dcn_core::OnlineScheduler;
 use dcn_topology::{builders, DistanceMatrix, Pair};
+use dcn_util::json::JsonValue;
 use dcn_util::rngx::derive_seed;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -52,6 +53,79 @@ impl SimpleTable {
     /// the CI smoke run's `BENCH_demand.json`).
     pub fn to_json(&self) -> String {
         dcn_util::json::to_json_string(self).expect("table serialization cannot fail")
+    }
+
+    /// Reads what [`SimpleTable::to_json`] writes back, exactly:
+    /// `title`, `columns` and `rows` are required, `statuses` is optional
+    /// and any other key is an error. Each row is `[label, [cells]]`, and a
+    /// `null` cell reads as NaN, since the emitter writes every non-finite
+    /// cell as `null`. Cells parse with `str::parse`, which recovers the
+    /// identical `f64` from the emitter's shortest-round-trip output, so
+    /// `from_json(to_json(t)).to_json()` is byte-identical.
+    pub fn from_json(text: &str) -> Result<SimpleTable, String> {
+        fn string(v: &JsonValue, what: &str) -> Result<String, String> {
+            v.as_str()
+                .map(str::to_string)
+                .ok_or(format!("table {what}: not a string"))
+        }
+        fn array<'a>(v: &'a JsonValue, what: &str) -> Result<&'a [JsonValue], String> {
+            v.as_array().ok_or(format!("table {what}: not an array"))
+        }
+        fn pair<'a>(v: &'a JsonValue, what: &str) -> Result<[&'a JsonValue; 2], String> {
+            match array(v, what)? {
+                [a, b] => Ok([a, b]),
+                _ => Err(format!("table {what}: not a pair")),
+            }
+        }
+        fn cell(v: &JsonValue) -> Result<f64, String> {
+            match v {
+                JsonValue::Null => Ok(f64::NAN),
+                v => v.as_f64().ok_or("table cell: not a number".to_string()),
+            }
+        }
+
+        if let Some(msg) = dcn_util::failpoint::eval("shard.parse") {
+            return Err(msg);
+        }
+        let root = dcn_util::json::parse_json(text)?;
+        let fields = root.as_object().ok_or("table JSON: not an object")?;
+        let (mut title, mut columns, mut rows) = (None, None, None);
+        let mut statuses = Vec::new();
+        for (key, v) in fields {
+            match key.as_str() {
+                "title" => title = Some(string(v, "title")?),
+                "columns" => {
+                    let names = array(v, "columns")?.iter().map(|c| string(c, "column"));
+                    columns = Some(names.collect::<Result<_, _>>()?);
+                }
+                "rows" => {
+                    let mut parsed = Vec::new();
+                    for row in array(v, "rows")? {
+                        let [label, cells] = pair(row, "row")?;
+                        let cells = array(cells, "row cells")?.iter().map(cell);
+                        parsed.push((
+                            string(label, "row label")?,
+                            cells.collect::<Result<_, _>>()?,
+                        ));
+                    }
+                    rows = Some(parsed);
+                }
+                "statuses" => {
+                    for status in array(v, "statuses")? {
+                        let [row, note] = pair(status, "status")?;
+                        let row = row.as_usize().ok_or("table status: row not an index")?;
+                        statuses.push((row, string(note, "status note")?));
+                    }
+                }
+                other => return Err(format!("unexpected key {other:?} in table JSON")),
+            }
+        }
+        Ok(SimpleTable {
+            title: title.ok_or("table JSON missing \"title\"")?,
+            columns: columns.ok_or("table JSON missing \"columns\"")?,
+            rows: rows.ok_or("table JSON missing \"rows\"")?,
+            statuses,
+        })
     }
 
     /// Markdown rendering.

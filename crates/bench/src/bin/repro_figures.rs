@@ -50,7 +50,7 @@
 //!               named table target into BENCH_<target>.json (byte-identical
 //!               to an unsharded run for deterministic tables). When DIR also
 //!               holds TELEM_<target>.shard-*.json files, they are absorbed
-//!               (counters sum, gauges max, histogram buckets sum) into
+//!               (counters and histogram buckets sum) into
 //!               TELEM_<target>.json alongside.
 //! --telemetry DIR  install a process-wide telemetry sink and, after each
 //!               target, drain it into DIR as TELEM_<target>.json (plus a
@@ -332,22 +332,21 @@ fn main() {
             }
             // Telemetry shards ride along when present; a BENCH-only run
             // has none and that is not an error.
-            if has_telem_shards(&dir, target) {
-                match telem::merge_target_dir(&dir, target) {
-                    Ok((snapshot, parts)) => {
-                        let path = dir.join(telem::telem_file_name(target));
-                        std::fs::write(&path, snapshot.to_json(target))
-                            .expect("write merged TELEM json");
-                        println!(
-                            "merged {} telemetry shard file(s) -> {}",
-                            parts.len(),
-                            path.display()
-                        );
-                    }
-                    Err(e) => {
-                        eprintln!("--merge-json {target}: {e}");
-                        std::process::exit(2);
-                    }
+            match telem::merge_target_dir(&dir, target) {
+                Ok((_, parts)) if parts.is_empty() => {}
+                Ok((snapshot, parts)) => {
+                    let path = dir.join(telem::telem_file_name(target));
+                    std::fs::write(&path, snapshot.to_json(target))
+                        .expect("write merged TELEM json");
+                    println!(
+                        "merged {} telemetry shard file(s) -> {}",
+                        parts.len(),
+                        path.display()
+                    );
+                }
+                Err(e) => {
+                    eprintln!("--merge-json {target}: {e}");
+                    std::process::exit(2);
                 }
             }
         }
@@ -445,7 +444,7 @@ fn main() {
                     let name = if shard_spec.is_full() {
                         shard::merged_file_name("adversary_genomes")
                     } else {
-                        shard::shard_file_name("adversary_genomes", shard_spec)
+                        shard::shard_file_name("BENCH", "adversary_genomes", shard_spec)
                     };
                     let path = dir.join(name);
                     std::fs::write(&path, genomes_to_json(&genomes))
@@ -589,7 +588,7 @@ fn export_telemetry(dir: &std::path::Path, target: &str, shard_spec: ShardSpec) 
     let name = if shard_spec.is_full() {
         telem::telem_file_name(target)
     } else {
-        telem::telem_shard_file_name(target, shard_spec)
+        shard::shard_file_name("TELEM", target, shard_spec)
     };
     let path = dir.join(name);
     std::fs::write(&path, snapshot.to_json(target)).expect("write TELEM json");
@@ -631,18 +630,6 @@ fn diff_telemetry(a: &str, b: &str) {
             std::process::exit(1);
         }
     }
-}
-
-/// Whether `dir` holds any `TELEM_<target>.shard-*.json` files.
-fn has_telem_shards(dir: &std::path::Path, target: &str) -> bool {
-    let prefix = format!("TELEM_{target}.shard-");
-    std::fs::read_dir(dir).is_ok_and(|entries| {
-        entries.flatten().any(|e| {
-            e.file_name()
-                .to_str()
-                .is_some_and(|n| n.starts_with(&prefix) && n.ends_with(".json"))
-        })
-    })
 }
 
 fn run_figure(spec: &FigureSpec, threads: usize, out_dir: Option<&std::path::Path>) {
@@ -689,7 +676,7 @@ fn print_table(
         let name = if shard_spec.is_full() {
             shard::merged_file_name(target)
         } else {
-            shard::shard_file_name(target, shard_spec)
+            shard::shard_file_name("BENCH", target, shard_spec)
         };
         let path = dir.join(name);
         std::fs::write(&path, table.to_json()).expect("write JSON summary");

@@ -1,5 +1,5 @@
-//! Multi-host sharding of the table targets: shard artifacts and their
-//! byte-exact reassembly.
+//! Multi-host sharding of the table targets: shard artifacts, their
+//! byte-exact reassembly, and the one collector of shard files.
 //!
 //! `repro_figures --shard i/m --json DIR <target>` computes only the table
 //! rows shard `i` owns (round-robin by original row index, seeds
@@ -7,25 +7,29 @@
 //! `BENCH_<target>.shard-i-of-m.json`. `repro_figures --merge-json DIR
 //! <target>` gathers all `m` shard files, re-interleaves the rows (row `p`
 //! of the full table is row `p / m` of shard `p % m`), and writes the
-//! merged `BENCH_<target>.json`.
+//! merged `BENCH_<target>.json`. TELEM snapshots shard the same way, and
+//! [`shard_file_name`] and [`read_shards`] build and read both families'
+//! shard file names.
 //!
 //! The merge contract is **byte identity**: for deterministic tables (all
-//! cost columns; the CI smoke diffs the `demand` target), the merged file
-//! equals the file an unsharded run writes, byte for byte. That holds
-//! because (a) sharded runs derive every row's seeds from its original
-//! index, (b) titles/columns are identical across shards, and (c) the
-//! [`parse_table`] → [`SimpleTable::to_json`] round trip is exact — JSON
-//! floats are emitted via Rust's shortest-round-trip `Display` and parsed
-//! back with `str::parse`, which recovers the identical `f64`.
+//! cost columns; the CI smoke diffs the `demand` and `ablation-alpha`
+//! targets), the merged file equals the file an unsharded run writes, byte
+//! for byte. That holds because (a) sharded runs derive every row's seeds
+//! from its original index, (b) titles/columns are identical across
+//! shards, and (c) the [`SimpleTable::from_json`] → [`SimpleTable::to_json`]
+//! round trip is exact: both rest on `dcn_util::json`, whose
+//! [`parse_json`](dcn_util::json::parse_json) recovers the identical `f64`
+//! from the emitter's shortest-round-trip `Display`.
 
 use crate::SimpleTable;
 use dcn_core::sweep::ShardSpec;
 use std::path::{Path, PathBuf};
 
-/// File name of one shard's artifact for `target`.
-pub fn shard_file_name(target: &str, shard: ShardSpec) -> String {
+/// File name of one shard's slice of the `<kind>_<target>.json` artifact,
+/// where `kind` is `BENCH` or `TELEM`: `<kind>_<target>.shard-i-of-m.json`.
+pub fn shard_file_name(kind: &str, target: &str, shard: ShardSpec) -> String {
     format!(
-        "BENCH_{target}.shard-{}-of-{}.json",
+        "{kind}_{target}.shard-{}-of-{}.json",
         shard.index(),
         shard.count()
     )
@@ -126,22 +130,26 @@ pub fn merge_tables(parts: Vec<(ShardSpec, SimpleTable)>) -> Result<SimpleTable,
     })
 }
 
-/// Scans `dir` for `target`'s shard files, parses and merges them, and
-/// returns the merged table together with the paths it consumed. Every
-/// failure is a structured error naming the offending file (and, for parse
-/// errors, the byte offset) — a corrupt or inconsistent shard set must
-/// never panic or silently drop rows.
-pub fn merge_target_dir(dir: &Path, target: &str) -> Result<(SimpleTable, Vec<PathBuf>), String> {
-    let prefix = format!("BENCH_{target}.shard-");
-    let mut parts: Vec<(ShardSpec, SimpleTable)> = Vec::new();
-    let mut names: Vec<String> = Vec::new();
-    let mut paths = Vec::new();
+/// Reads every shard file of the `<kind>_<target>.json` artifact in `dir`
+/// (see [`shard_file_name`]) through `parse`, in shard-index order, and
+/// checks that the files form one partition: one shard count, no repeated
+/// index and no gap. No shard file at all is an empty list. Every error
+/// names the files involved; a parse error is tagged with its file.
+pub fn read_shards<T>(
+    dir: &Path,
+    kind: &str,
+    target: &str,
+    parse: impl Fn(&str) -> Result<T, String>,
+) -> Result<Vec<(ShardSpec, PathBuf, T)>, String> {
+    let prefix = format!("{kind}_{target}.shard-");
+    let mut names: Vec<(ShardSpec, String)> = Vec::new();
     let entries =
         std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
     for entry in entries {
-        let entry = entry.map_err(|e| e.to_string())?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
+        let entry = entry.map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
+        let Ok(name) = entry.file_name().into_string() else {
+            continue;
+        };
         let Some(spec) = name
             .strip_prefix(&prefix)
             .and_then(|rest| rest.strip_suffix(".json"))
@@ -154,293 +162,72 @@ pub fn merge_target_dir(dir: &Path, target: &str) -> Result<(SimpleTable, Vec<Pa
         };
         let shard = ShardSpec::parse(&format!("{i}/{m}"))
             .map_err(|e| format!("shard file {name:?}: {e}"))?;
-        // Pre-validate against what is already collected so the error can
-        // name both files involved (merge_tables only sees the tables).
-        if let Some((first, first_name)) = parts
-            .first()
-            .map(|(s, _)| s)
-            .zip(names.first())
-            .filter(|(s, _)| s.count() != shard.count())
-        {
-            return Err(format!(
-                "mixed shard counts: {name:?} is of {} shard(s) but {first_name:?} \
-                 is of {} shard(s)",
-                shard.count(),
-                first.count()
-            ));
+        if let Some((first, first_name)) = names.first() {
+            if first.count() != shard.count() {
+                return Err(format!(
+                    "mixed shard counts: {name:?} is of {} shard(s) but {first_name:?} \
+                     is of {} shard(s)",
+                    shard.count(),
+                    first.count()
+                ));
+            }
         }
-        if let Some(dup) = parts
-            .iter()
-            .position(|(s, _)| s.index() == shard.index())
-            .map(|p| &names[p])
-        {
+        if let Some((_, dup)) = names.iter().find(|(s, _)| s.index() == shard.index()) {
             return Err(format!(
                 "duplicate shard index {}: {name:?} vs {dup:?}",
                 shard.index()
             ));
         }
-        let text = std::fs::read_to_string(entry.path()).map_err(|e| format!("{name}: {e}"))?;
-        let table = parse_table(&text).map_err(|e| format!("{name}: {e}"))?;
-        parts.push((shard, table));
-        names.push(name.to_string());
-        paths.push(entry.path());
+        names.push((shard, name));
     }
-    if parts.is_empty() {
+    names.sort_by_key(|(s, _)| s.index());
+    let mut shards = Vec::with_capacity(names.len());
+    for (shard, name) in &names {
+        let path = dir.join(name);
+        let text = std::fs::read_to_string(&path).map_err(|e| format!("{name}: {e}"))?;
+        shards.push((
+            *shard,
+            path,
+            parse(&text).map_err(|e| format!("{name}: {e}"))?,
+        ));
+    }
+    // A corrupt file is reported before a missing one: it is the more
+    // specific damage.
+    if let Some((first, _)) = names.first() {
+        let count = first.count();
+        if let Some(gap) = (0..count).find(|&i| names.iter().all(|(s, _)| s.index() != i)) {
+            let found: Vec<&str> = names.iter().map(|(_, name)| name.as_str()).collect();
+            let noun = if kind == "TELEM" {
+                "telemetry shard"
+            } else {
+                "shard"
+            };
+            return Err(format!(
+                "missing {noun} {gap}-of-{count}: found only {found:?}"
+            ));
+        }
+    }
+    Ok(shards)
+}
+
+/// Reads `target`'s `BENCH` shard files from `dir` (see [`read_shards`])
+/// and merges them, returning the merged table together with the paths it
+/// consumed. Every failure is a structured error naming the offending file
+/// (and, for parse errors, the byte offset): a corrupt or inconsistent
+/// shard set must never panic or silently drop rows.
+pub fn merge_target_dir(dir: &Path, target: &str) -> Result<(SimpleTable, Vec<PathBuf>), String> {
+    let shards = read_shards(dir, "BENCH", target, SimpleTable::from_json)?;
+    if shards.is_empty() {
         return Err(format!(
-            "no {prefix}*.json shard files in {}",
+            "no BENCH_{target}.shard-*.json shard files in {}",
             dir.display()
         ));
     }
-    paths.sort();
+    let (parts, paths) = shards
+        .into_iter()
+        .map(|(shard, path, table)| ((shard, table), path))
+        .unzip();
     merge_tables(parts).map(|t| (t, paths))
-}
-
-/// Parses the JSON that [`SimpleTable::to_json`] emits:
-/// `{"title": str, "columns": [str], "rows": [[str, [num]]],
-/// "statuses"?: [[int, str]]}`.
-///
-/// This is the one place the workspace parses JSON back (merging shard
-/// artifacts); the grammar is the emitter's, handled exactly — strings
-/// with the emitter's escape set, floats via `str::parse` (lossless
-/// against shortest-round-trip output), no trailing garbage, no duplicate
-/// keys. Every error names the byte offset it tripped on, so a corrupt
-/// artifact points straight at the damage.
-pub fn parse_table(text: &str) -> Result<SimpleTable, String> {
-    if let Some(msg) = dcn_util::failpoint::eval("shard.parse") {
-        return Err(msg);
-    }
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut title = None;
-    let mut columns = None;
-    let mut rows = None;
-    let mut statuses = None;
-    loop {
-        p.skip_ws();
-        let key_at = p.pos;
-        let key = p.parse_string()?;
-        p.skip_ws();
-        p.expect(b':')?;
-        p.skip_ws();
-        let dup = match key.as_str() {
-            "title" => title.replace(p.parse_string()?).is_some(),
-            "columns" => columns
-                .replace(p.parse_array(|p| p.parse_string())?)
-                .is_some(),
-            "rows" => rows
-                .replace(p.parse_array(|p| {
-                    // One row: ["label", [v, v, ...]]
-                    p.expect(b'[')?;
-                    p.skip_ws();
-                    let label = p.parse_string()?;
-                    p.skip_ws();
-                    p.expect(b',')?;
-                    p.skip_ws();
-                    let values = p.parse_array(|p| p.parse_number())?;
-                    p.skip_ws();
-                    p.expect(b']')?;
-                    Ok((label, values))
-                })?)
-                .is_some(),
-            "statuses" => statuses
-                .replace(p.parse_array(|p| {
-                    // One note: [row index, "note"]
-                    p.expect(b'[')?;
-                    p.skip_ws();
-                    let index = p.parse_usize()?;
-                    p.skip_ws();
-                    p.expect(b',')?;
-                    p.skip_ws();
-                    let note = p.parse_string()?;
-                    p.skip_ws();
-                    p.expect(b']')?;
-                    Ok((index, note))
-                })?)
-                .is_some(),
-            other => {
-                return Err(format!(
-                    "unexpected key {other:?} at byte {key_at} in table JSON"
-                ))
-            }
-        };
-        if dup {
-            return Err(format!("duplicate key {key:?} at byte {key_at}"));
-        }
-        p.skip_ws();
-        match p.next()? {
-            b',' => continue,
-            b'}' => break,
-            c => {
-                return Err(format!(
-                    "expected ',' or '}}' at byte {}, got {:?}",
-                    p.pos - 1,
-                    c as char
-                ))
-            }
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data after table JSON at byte {}", p.pos));
-    }
-    Ok(SimpleTable {
-        title: title.ok_or("table JSON missing \"title\"")?,
-        columns: columns.ok_or("table JSON missing \"columns\"")?,
-        rows: rows.ok_or("table JSON missing \"rows\"")?,
-        statuses: statuses.unwrap_or_default(),
-    })
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn next(&mut self) -> Result<u8, String> {
-        let b = *self
-            .bytes
-            .get(self.pos)
-            .ok_or_else(|| format!("unexpected end of JSON at byte {}", self.pos))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        let got = self.next()?;
-        if got != want {
-            return Err(format!(
-                "expected {:?} at byte {}, got {:?}",
-                want as char,
-                self.pos - 1,
-                got as char
-            ));
-        }
-        Ok(())
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            // Consume raw UTF-8 up to the next quote/escape in one slice.
-            let start = self.pos;
-            while !matches!(self.bytes.get(self.pos), None | Some(b'"') | Some(b'\\')) {
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| format!("invalid UTF-8 in JSON string at byte {start}"))?,
-            );
-            match self.next()? {
-                b'"' => return Ok(out),
-                b'\\' => match self.next()? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let at = self.pos;
-                            let d = (self.next()? as char)
-                                .to_digit(16)
-                                .ok_or(format!("invalid \\u escape at byte {at}"))?;
-                            code = code * 16 + d;
-                        }
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or(format!("invalid \\u code point at byte {}", self.pos))?,
-                        );
-                    }
-                    e => {
-                        return Err(format!(
-                            "unsupported escape \\{} at byte {}",
-                            e as char,
-                            self.pos - 1
-                        ))
-                    }
-                },
-                _ => unreachable!("scan stopped on quote or backslash"),
-            }
-        }
-    }
-
-    /// A non-negative integer (used for `statuses` row indices) — parsed
-    /// exactly, so the round trip back through the emitter is identical.
-    fn parse_usize(&mut self) -> Result<usize, String> {
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        text.parse::<usize>()
-            .map_err(|_| format!("invalid row index {text:?} at byte {start}"))
-    }
-
-    fn parse_number(&mut self) -> Result<f64, String> {
-        let start = self.pos;
-        // "null" is how the emitter writes non-finite values.
-        if self.bytes[self.pos..].starts_with(b"null") {
-            self.pos += 4;
-            return Ok(f64::NAN);
-        }
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        text.parse::<f64>()
-            .map_err(|_| format!("invalid number {text:?} at byte {start}"))
-    }
-
-    fn parse_array<T>(
-        &mut self,
-        mut element: impl FnMut(&mut Self) -> Result<T, String>,
-    ) -> Result<Vec<T>, String> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            self.skip_ws();
-            out.push(element(self)?);
-            self.skip_ws();
-            match self.next()? {
-                b',' => continue,
-                b']' => return Ok(out),
-                c => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, got {:?}",
-                        self.pos - 1,
-                        c as char
-                    ))
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -455,6 +242,24 @@ mod tests {
                 ("λ=0".into(), vec![22.75321, 1.0]),
                 ("row2".into(), vec![-0.5, 1e-9]),
                 ("row3".into(), vec![123456789.0, 0.3333333333333333]),
+                // Cells that test the number path: negative zero, the
+                // non-finite cells the emitter writes as `null`, integers
+                // beyond 64 bits or at the edge of f64 precision, the
+                // smallest subnormal, and a shortest-round-trip fraction.
+                (
+                    "special".into(),
+                    vec![
+                        -0.0,
+                        f64::NAN,
+                        f64::INFINITY,
+                        f64::NEG_INFINITY,
+                        1e20,
+                        1.2345678901234568e18,
+                        -9.3e18,
+                        5e-324,
+                        0.30000000000000004,
+                    ],
+                ),
             ],
             statuses: Vec::new(),
         }
@@ -464,7 +269,7 @@ mod tests {
     fn parse_round_trips_to_json_byte_identically() {
         let table = sample_table();
         let json = table.to_json();
-        let back = parse_table(&json).expect("parse emitted JSON");
+        let back = SimpleTable::from_json(&json).expect("parse emitted JSON");
         assert_eq!(back.to_json(), json, "round trip must be byte-identical");
     }
 
@@ -477,7 +282,10 @@ mod tests {
             "{\"title\": \"t\"} extra",
             "{\"bogus\": \"x\"}",
         ] {
-            assert!(parse_table(bad).is_err(), "{bad:?} should not parse");
+            assert!(
+                SimpleTable::from_json(bad).is_err(),
+                "{bad:?} should not parse"
+            );
         }
     }
 
@@ -490,7 +298,7 @@ mod tests {
         ];
         let json = table.to_json();
         assert!(json.contains("\"statuses\""));
-        let back = parse_table(&json).expect("parse");
+        let back = SimpleTable::from_json(&json).expect("parse");
         assert_eq!(back.statuses, table.statuses);
         assert_eq!(back.to_json(), json, "round trip must be byte-identical");
         // And a failure-free table omits the key entirely (historical bytes).
@@ -540,10 +348,10 @@ mod tests {
             if !json.is_char_boundary(cut) {
                 continue;
             }
-            let err = parse_table(&json[..cut]).expect_err("prefix must not parse");
+            let err = SimpleTable::from_json(&json[..cut]).expect_err("prefix must not parse");
             assert!(!err.is_empty());
         }
-        assert!(parse_table(&json[..json.len() - 1])
+        assert!(SimpleTable::from_json(&json[..json.len() - 1])
             .unwrap_err()
             .contains("byte"));
     }
@@ -559,7 +367,7 @@ mod tests {
                 let mut bytes = json.clone().into_bytes();
                 bytes[i] = evil;
                 if let Ok(mutant) = String::from_utf8(bytes) {
-                    let _ = parse_table(&mutant);
+                    let _ = SimpleTable::from_json(&mutant);
                 }
             }
         }
@@ -567,7 +375,7 @@ mod tests {
 
     #[test]
     fn duplicate_keys_are_rejected_with_an_offset() {
-        let err = parse_table(r#"{"title": "a", "title": "b"}"#).unwrap_err();
+        let err = SimpleTable::from_json(r#"{"title": "a", "title": "b"}"#).unwrap_err();
         assert!(err.contains("duplicate key \"title\""), "{err}");
         assert!(err.contains("byte 15"), "{err}");
     }
@@ -655,8 +463,11 @@ mod tests {
                     .collect(),
                 statuses: Vec::new(),
             };
-            std::fs::write(dir.join(shard_file_name("demo", shard)), part.to_json())
-                .expect("write shard");
+            std::fs::write(
+                dir.join(shard_file_name("BENCH", "demo", shard)),
+                part.to_json(),
+            )
+            .expect("write shard");
         }
         let (merged, paths) = merge_target_dir(&dir, "demo").expect("merge dir");
         assert_eq!(paths.len(), 2);
@@ -673,7 +484,7 @@ mod tests {
 
         // A truncated shard file: the error must carry the file name and
         // the byte offset the parser tripped on.
-        let name0 = shard_file_name("mangled", ShardSpec::new(0, 2));
+        let name0 = shard_file_name("BENCH", "mangled", ShardSpec::new(0, 2));
         let json = full.to_json();
         std::fs::write(dir.join(&name0), &json[..json.len() / 2]).expect("write");
         let err = merge_target_dir(&dir, "mangled").unwrap_err();
@@ -682,7 +493,7 @@ mod tests {
 
         // Mixed shard counts: both file names appear in the error.
         std::fs::write(dir.join(&name0), &json).expect("write");
-        let name1 = shard_file_name("mangled", ShardSpec::new(1, 3));
+        let name1 = shard_file_name("BENCH", "mangled", ShardSpec::new(1, 3));
         std::fs::write(dir.join(&name1), &json).expect("write");
         let err = merge_target_dir(&dir, "mangled").unwrap_err();
         assert!(err.contains("mixed shard counts"), "{err}");

@@ -5,10 +5,11 @@
 //! [`dcn_telemetry::Telemetry`] handle once per target and writes the
 //! snapshot as `TELEM_<target>.json` (plus a Prometheus-text twin,
 //! `TELEM_<target>.prom`). Sharded runs write
-//! `TELEM_<target>.shard-i-of-m.json`, and `--merge-json` folds the shard
-//! snapshots back together with [`Snapshot::absorb`] — counters sum,
-//! gauges max, histogram buckets sum — which is associative and
-//! commutative, so the merge is order-independent.
+//! `TELEM_<target>.shard-i-of-m.json` (named and collected by
+//! [`crate::shard`], as the `BENCH_*` shards are), and `--merge-json` folds
+//! the shard snapshots back together with [`Snapshot::absorb`]: counters
+//! and histogram buckets sum, saturating at `u64::MAX`, which is
+//! associative and commutative, so the merge is order-independent.
 //!
 //! Unlike `BENCH_*` tables, telemetry snapshots are **not** byte-stable
 //! across run shapes: wall-clock histograms and per-worker busy/idle
@@ -18,20 +19,11 @@
 //! per-worker splits and `*_ns` time sums) plus each histogram's total
 //! observation count.
 
-use dcn_core::sweep::ShardSpec;
+use crate::shard::read_shards;
 use dcn_telemetry::Snapshot;
 use dcn_util::json::{parse_json, JsonValue};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-
-/// File name of one shard's telemetry artifact for `target`.
-pub fn telem_shard_file_name(target: &str, shard: ShardSpec) -> String {
-    format!(
-        "TELEM_{target}.shard-{}-of-{}.json",
-        shard.index(),
-        shard.count()
-    )
-}
 
 /// File name of the merged (= unsharded) telemetry artifact for `target`.
 pub fn telem_file_name(target: &str) -> String {
@@ -43,18 +35,12 @@ pub fn telem_prom_file_name(target: &str) -> String {
     format!("TELEM_{target}.prom")
 }
 
-fn as_i64(v: &JsonValue) -> Option<i64> {
-    match *v {
-        JsonValue::Uint(u) => i64::try_from(u).ok(),
-        JsonValue::Int(i) => Some(i),
-        _ => None,
-    }
-}
-
 /// Parses the JSON that [`Snapshot::to_json`] emits back into the
 /// `(target, snapshot)` pair. Derived fields (`p50`/`p90`/`p99`) are
 /// ignored — they are recomputed from the buckets on re-serialization,
-/// which is what makes merging commute with export.
+/// which is what makes merging commute with export. So is the `gauges`
+/// object that files written before gauges were dropped carry, which keeps
+/// those files comparable under `--telemetry-diff`.
 pub fn parse_snapshot(text: &str) -> Result<(String, Snapshot), String> {
     let root = parse_json(text)?;
     let target = root
@@ -72,14 +58,6 @@ pub fn parse_snapshot(text: &str) -> Result<(String, Snapshot), String> {
             .as_u64()
             .ok_or_else(|| format!("counter {name:?}: not a u64"))?;
         snap.counters.insert(name.clone(), v);
-    }
-    for (name, v) in root
-        .get("gauges")
-        .and_then(JsonValue::as_object)
-        .ok_or("missing \"gauges\"")?
-    {
-        let v = as_i64(v).ok_or_else(|| format!("gauge {name:?}: not an i64"))?;
-        snap.gauges.insert(name.clone(), v);
     }
     for (name, h) in root
         .get("histograms")
@@ -111,9 +89,23 @@ pub fn parse_snapshot(text: &str) -> Result<(String, Snapshot), String> {
             if b as usize >= dcn_telemetry::HIST_BUCKETS {
                 return Err(format!("histogram {name:?}: bucket {b} out of range"));
             }
+            // Percentiles walk the buckets in order, and `absorb` sorts
+            // them, so an unsorted list would read differently once merged.
+            if hs
+                .buckets
+                .last()
+                .is_some_and(|&(last, _)| u64::from(last) >= b)
+            {
+                return Err(format!("histogram {name:?}: bucket {b} out of order"));
+            }
             hs.buckets.push((b as u8, c));
         }
-        if hs.buckets.iter().map(|&(_, c)| c).sum::<u64>() != hs.count {
+        let total = hs
+            .buckets
+            .iter()
+            .try_fold(0u64, |sum, &(_, c)| sum.checked_add(c))
+            .ok_or_else(|| format!("histogram {name:?}: bucket counts overflow u64"))?;
+        if total != hs.count {
             return Err(format!(
                 "histogram {name:?}: bucket counts don't sum to count"
             ));
@@ -123,63 +115,22 @@ pub fn parse_snapshot(text: &str) -> Result<(String, Snapshot), String> {
     Ok((target, snap))
 }
 
-/// Scans `dir` for `target`'s telemetry shard files, parses and absorbs
-/// them into one snapshot, and returns it with the paths consumed.
-/// Validates the same partition invariants as the `BENCH_*` merge: a
-/// consistent shard count, no duplicates, no gaps.
+/// Reads `target`'s `TELEM` shard files from `dir` (see [`read_shards`])
+/// and absorbs them into one snapshot, returned with the paths consumed.
+/// No shard file at all is the empty snapshot and no path.
 pub fn merge_target_dir(dir: &Path, target: &str) -> Result<(Snapshot, Vec<PathBuf>), String> {
-    let prefix = format!("TELEM_{target}.shard-");
-    let mut parts: Vec<(ShardSpec, Snapshot)> = Vec::new();
-    let mut paths = Vec::new();
-    let entries =
-        std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| e.to_string())?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(spec) = name
-            .strip_prefix(&prefix)
-            .and_then(|rest| rest.strip_suffix(".json"))
-        else {
-            continue;
-        };
-        let Some((i, m)) = spec.split_once("-of-") else {
-            return Err(format!("malformed telemetry shard file name {name:?}"));
-        };
-        let shard = ShardSpec::parse(&format!("{i}/{m}"))
-            .map_err(|e| format!("telemetry shard file {name:?}: {e}"))?;
-        let text = std::fs::read_to_string(entry.path()).map_err(|e| format!("{name}: {e}"))?;
-        let (file_target, snap) = parse_snapshot(&text).map_err(|e| format!("{name}: {e}"))?;
-        if file_target != target {
-            return Err(format!(
-                "{name}: tagged for target {file_target:?}, expected {target:?}"
-            ));
-        }
-        parts.push((shard, snap));
-        paths.push(entry.path());
-    }
-    let count = parts
-        .first()
-        .map(|(s, _)| s.count())
-        .ok_or_else(|| format!("no {prefix}*.json shard files in {}", dir.display()))?;
-    let mut seen = vec![false; count];
+    let parse = |text: &str| match parse_snapshot(text)? {
+        (file_target, snap) if file_target == target => Ok(snap),
+        (file_target, _) => Err(format!(
+            "tagged for target {file_target:?}, expected {target:?}"
+        )),
+    };
     let mut merged = Snapshot::default();
-    for (shard, snap) in &parts {
-        if shard.count() != count {
-            return Err(format!(
-                "inconsistent telemetry shard counts: {} vs {count}",
-                shard.count()
-            ));
-        }
-        if std::mem::replace(&mut seen[shard.index()], true) {
-            return Err(format!("duplicate telemetry shard {shard}"));
-        }
-        merged.absorb(snap);
+    let mut paths = Vec::new();
+    for (_, path, snap) in read_shards(dir, "TELEM", target, parse)? {
+        merged.absorb(&snap);
+        paths.push(path);
     }
-    if let Some(i) = seen.iter().position(|&s| !s) {
-        return Err(format!("missing telemetry shard {i}-of-{count}"));
-    }
-    paths.sort();
     Ok((merged, paths))
 }
 
@@ -226,16 +177,13 @@ pub fn diff_projection(a: &Snapshot, b: &Snapshot) -> Result<(), String> {
 }
 
 /// Renders the human summary printed under each target: one markdown
-/// table of counters and gauges, one of histogram percentiles.
+/// table of counters, one of histogram percentiles.
 pub fn summary_table(snapshot: &Snapshot) -> String {
     let mut s = String::new();
-    if !snapshot.counters.is_empty() || !snapshot.gauges.is_empty() {
+    if !snapshot.counters.is_empty() {
         s.push_str("| metric | value |\n|---|---:|\n");
         for (k, v) in &snapshot.counters {
             s.push_str(&format!("| {k} | {v} |\n"));
-        }
-        for (k, v) in &snapshot.gauges {
-            s.push_str(&format!("| {k} (gauge) | {v} |\n"));
         }
     }
     if !snapshot.histograms.is_empty() {
@@ -256,6 +204,8 @@ pub fn summary_table(snapshot: &Snapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::shard_file_name;
+    use dcn_core::sweep::ShardSpec;
     use dcn_telemetry::{Histogram, Telemetry};
 
     fn sample_snapshot(scale: u64) -> Snapshot {
@@ -263,7 +213,6 @@ mod tests {
         t.add_counter("serve.requests", 100 * scale);
         t.add_counter("sweep.worker.0.steals", 3 * scale);
         t.add_counter("sweep.worker.0.busy_ns", 999 * scale);
-        t.gauge_max("intra.imbalance_pct", 12 * scale as i64);
         let mut h = Histogram::default();
         for v in 0..40 * scale {
             h.record(v * v);
@@ -289,6 +238,52 @@ mod tests {
                    \"histograms\":{\"h\":{\"count\":5,\"sum\":1,\
                    \"p50\":1,\"p90\":1,\"p99\":1,\"buckets\":[[1,2]]}}}";
         assert!(parse_snapshot(bad).is_err());
+        // Bucket counts whose sum wraps to `count` in u64 arithmetic.
+        let wraps = "{\"target\":\"x\",\"counters\":{},\"histograms\":{\"h\":{\"count\":4,\
+                     \"sum\":1,\"buckets\":[[1,18446744073709551615],[2,5]]}}}";
+        let err = parse_snapshot(wraps).unwrap_err();
+        assert!(
+            err.contains("histogram \"h\"") && err.contains("overflow"),
+            "{err}"
+        );
+        // Buckets out of order or repeated.
+        for buckets in ["[[10,1],[1,1]]", "[[1,1],[1,1]]"] {
+            let text = format!(
+                "{{\"target\":\"x\",\"counters\":{{}},\"histograms\":{{\"h\":\
+                 {{\"count\":2,\"sum\":0,\"buckets\":{buckets}}}}}}}"
+            );
+            let err = parse_snapshot(&text).unwrap_err();
+            assert!(err.contains("out of order"), "{err}");
+        }
+    }
+
+    #[test]
+    fn huge_histogram_counts_load_and_serialize() {
+        // `count * 99` exceeds u64, so percentiles rank in u128.
+        let text = "{\"target\":\"x\",\"counters\":{},\"histograms\":{\"h\":{\
+                    \"count\":200000000000000000,\"sum\":0,\
+                    \"buckets\":[[3,200000000000000000]]}}}";
+        let (_, snap) = parse_snapshot(text).unwrap();
+        assert_eq!(snap.histograms["h"].percentile(99), 7);
+        let json = snap.to_json("x");
+        assert!(json.contains("\"p99\":7"), "{json}");
+        assert!(summary_table(&snap).contains("| h | 200000000000000000 | 7 | 7 | 7 |"));
+    }
+
+    #[test]
+    fn merged_counters_saturate_instead_of_wrapping() {
+        let dir = std::env::temp_dir().join(format!("rdcn-telem-sat-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let text = "{\"target\":\"demand\",\"counters\":{\"serve.requests\":9223372036854775808},\
+                    \"gauges\":{},\"histograms\":{}}";
+        for i in 0..2 {
+            let name = shard_file_name("TELEM", "demand", ShardSpec::new(i, 2));
+            std::fs::write(dir.join(name), text).unwrap();
+        }
+        let (merged, paths) = merge_target_dir(&dir, "demand").unwrap();
+        assert_eq!(paths.len(), 2);
+        assert_eq!(merged.counters["serve.requests"], u64::MAX);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -299,12 +294,12 @@ mod tests {
         let s0 = ShardSpec::parse("0/2").unwrap();
         let s1 = ShardSpec::parse("1/2").unwrap();
         std::fs::write(
-            dir.join(telem_shard_file_name("demand", s0)),
+            dir.join(shard_file_name("TELEM", "demand", s0)),
             a.to_json("demand"),
         )
         .unwrap();
         std::fs::write(
-            dir.join(telem_shard_file_name("demand", s1)),
+            dir.join(shard_file_name("TELEM", "demand", s1)),
             b.to_json("demand"),
         )
         .unwrap();
@@ -322,7 +317,7 @@ mod tests {
         assert_eq!(merged.to_json("demand"), swapped.to_json("demand"));
 
         // A missing shard is a hard error.
-        std::fs::remove_file(dir.join(telem_shard_file_name("demand", s1))).unwrap();
+        std::fs::remove_file(dir.join(shard_file_name("TELEM", "demand", s1))).unwrap();
         let err = merge_target_dir(&dir, "demand").unwrap_err();
         assert!(err.contains("missing telemetry shard 1-of-2"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -351,6 +346,5 @@ mod tests {
         let s = summary_table(&sample_snapshot(1));
         assert!(s.contains("| serve.requests | 100 |"));
         assert!(s.contains("| serve.chunk_ns |"));
-        assert!(s.contains("(gauge)"));
     }
 }

@@ -103,6 +103,7 @@ fn injected_parse_error_surfaces_through_the_merge_path() {
     let (table, _) = dcn_bench::demand_sweep(0.005, 1, dcn_core::sweep::ShardSpec::new(0, 1));
     std::fs::write(
         dir.join(dcn_bench::shard_file_name(
+            "BENCH",
             "inject",
             dcn_core::sweep::ShardSpec::new(0, 1),
         )),

@@ -29,8 +29,8 @@
 //! ## Export
 //!
 //! [`Snapshot`] is the portable aggregation unit: it merges associatively
-//! ([`Snapshot::absorb`] — counters and histogram buckets sum, gauges
-//! max), serializes to the compact single-line `TELEM_*.json` schema
+//! ([`Snapshot::absorb`] — counters and histogram buckets sum, saturating
+//! at `u64::MAX`), serializes to the compact single-line `TELEM_*.json` schema
 //! ([`Snapshot::to_json`]) and to Prometheus text exposition format
 //! ([`Snapshot::to_prometheus`]). Histogram percentiles are recomputed
 //! from the merged buckets, so merge-then-export equals export-then-merge.
@@ -172,15 +172,18 @@ pub struct HistogramSnapshot {
 impl HistogramSnapshot {
     /// The `p`-th percentile (p in 1..=100): the upper bound of the first
     /// bucket whose cumulative count reaches rank `⌈count·p/100⌉`.
-    /// Returns 0 on an empty histogram.
+    /// Returns 0 on an empty histogram. The rank and the running sum are
+    /// u128, so no count a parsed or merged snapshot carries can overflow.
     pub fn percentile(&self, p: u64) -> u64 {
         if self.count == 0 {
             return 0;
         }
-        let rank = (self.count * p).div_ceil(100).max(1);
-        let mut cum = 0u64;
+        let rank = (u128::from(self.count) * u128::from(p))
+            .div_ceil(100)
+            .max(1);
+        let mut cum = 0u128;
         for &(k, c) in &self.buckets {
-            cum += c;
+            cum += u128::from(c);
             if cum >= rank {
                 return bucket_upper_bound(k as usize);
             }
@@ -188,13 +191,14 @@ impl HistogramSnapshot {
         bucket_upper_bound(64)
     }
 
-    /// Folds `other` in: counts and per-bucket tallies sum.
+    /// Folds `other` in: counts and per-bucket tallies sum, saturating.
     pub fn absorb(&mut self, other: &HistogramSnapshot) {
-        self.count += other.count;
+        self.count = self.count.saturating_add(other.count);
         self.sum = self.sum.saturating_add(other.sum);
         let mut merged: BTreeMap<u8, u64> = self.buckets.iter().copied().collect();
         for &(k, c) in &other.buckets {
-            *merged.entry(k).or_insert(0) += c;
+            let tally = merged.entry(k).or_insert(0);
+            *tally = tally.saturating_add(c);
         }
         self.buckets = merged.into_iter().collect();
     }
@@ -207,8 +211,6 @@ impl HistogramSnapshot {
 pub struct Snapshot {
     /// Monotone event counts (shard merge: sum).
     pub counters: BTreeMap<String, u64>,
-    /// Point-in-time values (shard merge: max).
-    pub gauges: BTreeMap<String, i64>,
     /// Log2 histograms (shard merge: bucket-wise sum).
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
@@ -216,20 +218,17 @@ pub struct Snapshot {
 impl Snapshot {
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters.is_empty() && self.histograms.is_empty()
     }
 
     /// Folds `other` in. Associative and commutative (counters and
-    /// histogram buckets sum, gauges max), so shard artifacts merge in any
-    /// grouping to the same result — pinned by unit tests here and the
-    /// shard round-trip in CI.
+    /// histogram buckets sum, saturating at `u64::MAX` rather than
+    /// wrapping), so shard artifacts merge in any grouping to the same
+    /// result — pinned by unit tests here and the shard round-trip in CI.
     pub fn absorb(&mut self, other: &Snapshot) {
         for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            let e = self.gauges.entry(k.clone()).or_insert(i64::MIN);
-            *e = (*e).max(*v);
+            let total = self.counters.entry(k.clone()).or_insert(0);
+            *total = total.saturating_add(*v);
         }
         for (k, h) in &other.histograms {
             self.histograms.entry(k.clone()).or_default().absorb(h);
@@ -239,7 +238,7 @@ impl Snapshot {
     /// Serializes to the compact single-line `TELEM_*.json` schema:
     ///
     /// ```json
-    /// {"target":"demand","counters":{...},"gauges":{...},
+    /// {"target":"demand","counters":{...},
     ///  "histograms":{"name":{"count":N,"sum":S,"p50":..,"p90":..,"p99":..,
     ///                        "buckets":[[k,c],...]}}}
     /// ```
@@ -253,15 +252,6 @@ impl Snapshot {
         push_json_string(&mut s, target);
         s.push_str(",\"counters\":{");
         for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            push_json_string(&mut s, k);
-            s.push(':');
-            s.push_str(&v.to_string());
-        }
-        s.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
@@ -304,16 +294,12 @@ impl Snapshot {
             let name = prom_name(k);
             s.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
         }
-        for (k, v) in &self.gauges {
-            let name = prom_name(k);
-            s.push_str(&format!("# TYPE {name} gauge\n{name} {v}\n"));
-        }
         for (k, h) in &self.histograms {
             let name = prom_name(k);
             s.push_str(&format!("# TYPE {name} histogram\n"));
             let mut cum = 0u64;
             for &(b, c) in &h.buckets {
-                cum += c;
+                cum = cum.saturating_add(c);
                 s.push_str(&format!(
                     "{name}_bucket{{le=\"{}\"}} {cum}\n",
                     bucket_upper_bound(b as usize)
@@ -419,14 +405,6 @@ impl Telemetry {
         if v > 0 {
             self.with_store(|s| *s.counters.entry(name.to_string()).or_insert(0) += v);
         }
-    }
-
-    /// Folds a named gauge toward its maximum.
-    pub fn gauge_max(&self, name: &str, v: i64) {
-        self.with_store(|s| {
-            let e = s.gauges.entry(name.to_string()).or_insert(i64::MIN);
-            *e = (*e).max(v);
-        });
     }
 
     /// Records a single observation into a named histogram (flush-path
@@ -575,7 +553,6 @@ mod tests {
                 let t = Telemetry::enabled();
                 t.add_counter("c.events", seed + 1);
                 t.add_counter(&format!("c.only{seed}"), 7);
-                t.gauge_max("g.peak", seed as i64 * 10);
                 let mut h = Histogram::default();
                 for i in 0..seed + 3 {
                     h.record(i * seed + 1);
@@ -603,16 +580,43 @@ mod tests {
         }
 
         #[test]
+        fn saturated_merges_export_without_overflow() {
+            // Two halves of u64::MAX + 1 observations: the merged count
+            // saturates, and the running bucket sums of the percentile walk
+            // and of the Prometheus series pass u64::MAX.
+            let half = |bucket: u8| {
+                let mut s = Snapshot::default();
+                s.counters.insert("c".into(), 1 << 63);
+                s.histograms.insert(
+                    "h".into(),
+                    HistogramSnapshot {
+                        count: 1 << 63,
+                        sum: 0,
+                        buckets: vec![(bucket, 1 << 63)],
+                    },
+                );
+                s
+            };
+            let mut merged = half(1);
+            merged.absorb(&half(2));
+            assert_eq!(merged.counters["c"], u64::MAX);
+            assert_eq!(merged.histograms["h"].count, u64::MAX);
+            assert_eq!(merged.histograms["h"].percentile(99), 3);
+            assert!(merged.to_json("t").contains("\"p50\":1,"));
+            assert!(merged
+                .to_prometheus()
+                .contains(&format!("rdcn_h_bucket{{le=\"3\"}} {}\n", u64::MAX)));
+        }
+
+        #[test]
         fn json_schema_is_stable() {
             let t = Telemetry::enabled();
             t.add_counter("serve.requests", 5);
-            t.gauge_max("intra.imbalance_pct", 12);
             t.observe("serve.chunk_ns", 900);
             let j = t.snapshot().to_json("demand");
             assert_eq!(
                 j,
                 "{\"target\":\"demand\",\"counters\":{\"serve.requests\":5},\
-                 \"gauges\":{\"intra.imbalance_pct\":12},\
                  \"histograms\":{\"serve.chunk_ns\":{\"count\":1,\"sum\":900,\
                  \"p50\":1023,\"p90\":1023,\"p99\":1023,\"buckets\":[[10,1]]}}}"
             );
@@ -656,11 +660,6 @@ mod tests {
             assert_eq!(c.get(), 5);
             assert_eq!(c.take(), 5);
             assert_eq!(c.get(), 0);
-            // Gauges live in the registry only and fold toward their max.
-            let t = Telemetry::enabled();
-            t.gauge_max("g", 3);
-            t.gauge_max("g", -1);
-            assert_eq!(t.snapshot().gauges["g"], 3);
         }
 
         #[test]
@@ -680,7 +679,6 @@ mod tests {
         let t = Telemetry::disabled();
         assert!(!t.is_enabled());
         t.add_counter("x", 10);
-        t.gauge_max("y", 3);
         t.observe("z", 9);
         assert!(t.snapshot().is_empty());
         assert!(t.drain().is_empty());

@@ -48,12 +48,6 @@ impl Trace {
     pub fn prefix(&self, n: usize) -> &[Pair] {
         &self.requests[..n.min(self.requests.len())]
     }
-
-    /// Adapts this trace into a streaming [`crate::source::RequestSource`]
-    /// (shared via `Arc`, so further clones are cheap).
-    pub fn into_source(self) -> crate::source::MaterializedSource {
-        crate::source::MaterializedSource::from(self)
-    }
 }
 
 #[cfg(test)]

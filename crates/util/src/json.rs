@@ -7,16 +7,19 @@
 //! and unit/newtype enum variants.
 //!
 //! The consumer side is [`parse_json`]/[`JsonValue`]: a small
-//! recursive-descent parser for replaying committed artifacts (adversary
-//! genomes, regression corpora). Integers parse **exactly** (no float
-//! round-trip), so 64-bit RNG seeds survive a serialize→parse cycle
-//! bit-for-bit. A second, byte-exactness-oriented consumer lives in
-//! `dcn-bench`'s shard module (`parse_table`), which reassembles sharded
-//! benchmark artifacts **byte-for-byte** and therefore depends on this
-//! emitter's exact escape set and float formatting (shortest-round-trip
-//! `Display`) — keep the two in sync if either changes.
+//! recursive-descent parser and the workspace's one JSON reader (adversary
+//! genomes, corpus entries, reports, journal lines, the ledger, TELEM
+//! snapshots and sharded BENCH tables). Integers parse **exactly** (no
+//! float round-trip), so 64-bit RNG seeds survive a serialize→parse cycle
+//! bit-for-bit, and every other number parses with `str::parse`, which
+//! recovers the identical `f64` from the emitter's shortest-round-trip
+//! `Display`; `-0` reads as `Float(-0.0)`, so a `-0.0` cell is re-emitted as
+//! `-0`. Outside input is held to two rules: every error names the byte
+//! offset it tripped on, and an object that repeats a key is an error at
+//! that key's opening quote.
 
 use serde::ser::{self, Serialize};
+use std::collections::HashSet;
 use std::fmt::{self, Display, Write as FmtWrite};
 
 /// Serialization error (only string formatting can fail, plus custom messages).
@@ -392,15 +395,16 @@ pub enum JsonValue {
     Bool(bool),
     /// Non-negative integer literal (exact).
     Uint(u64),
-    /// Negative integer literal (exact).
+    /// Negative integer literal (exact), except `-0`.
     Int(i64),
-    /// Any literal with a fraction or exponent.
+    /// Any other number: a fraction or exponent, `-0`, or an integer
+    /// outside the 64-bit range.
     Float(f64),
     /// String literal (escapes decoded).
     Str(String),
     /// Array.
     Array(Vec<JsonValue>),
-    /// Object, in source key order.
+    /// Object, in source key order; [`parse_json`] rejects a repeated key.
     Object(Vec<(String, JsonValue)>),
 }
 
@@ -461,7 +465,7 @@ impl JsonValue {
         }
     }
 
-    /// Object field lookup (first match).
+    /// Object field lookup.
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         self.as_object()?
             .iter()
@@ -483,8 +487,9 @@ impl JsonValue {
 /// ```
 pub const MAX_DEPTH: usize = 128;
 
-/// Parses a complete JSON document; trailing non-whitespace is an error, and
-/// so is nesting deeper than [`MAX_DEPTH`].
+/// Parses a complete JSON document. Trailing non-whitespace is an error, and
+/// so are nesting deeper than [`MAX_DEPTH`] and an object that repeats a
+/// key. Every error names the byte offset it tripped on.
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
@@ -593,8 +598,12 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
             out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| "invalid UTF-8 in string".to_string())?,
+                std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| {
+                    format!(
+                        "invalid UTF-8 in string at byte {}",
+                        start + e.valid_up_to()
+                    )
+                })?,
             );
             match self.peek() {
                 Some(b'"') => {
@@ -602,10 +611,11 @@ impl<'a> Parser<'a> {
                     return Ok(out);
                 }
                 Some(b'\\') => {
+                    let at = self.pos;
                     self.pos += 1;
                     let esc = self
                         .peek()
-                        .ok_or_else(|| "unterminated escape".to_string())?;
+                        .ok_or_else(|| format!("unterminated escape at byte {at}"))?;
                     self.pos += 1;
                     match esc {
                         b'"' => out.push('"'),
@@ -617,27 +627,28 @@ impl<'a> Parser<'a> {
                         b'b' => out.push('\u{8}'),
                         b'f' => out.push('\u{c}'),
                         b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            self.pos += 4;
+                            let mut code = 0u32;
+                            for _ in 0..4 {
+                                let digit = self.peek().and_then(|b| (b as char).to_digit(16));
+                                code = code * 16
+                                    + digit.ok_or_else(|| {
+                                        format!("bad \\u escape at byte {}", self.pos)
+                                    })?;
+                                self.pos += 1;
+                            }
                             // Surrogate pairs are out of scope: the emitter
                             // never produces them (only control characters).
                             out.push(
                                 char::from_u32(code)
-                                    .ok_or_else(|| "invalid \\u codepoint".to_string())?,
+                                    .ok_or_else(|| format!("invalid \\u codepoint at byte {at}"))?,
                             );
                         }
-                        other => return Err(format!("unknown escape \\{}", other as char)),
+                        other => {
+                            return Err(format!("unknown escape \\{} at byte {at}", other as char))
+                        }
                     }
                 }
-                _ => return Err("unterminated string".to_string()),
+                _ => return Err(format!("unterminated string at byte {}", self.pos)),
             }
         }
     }
@@ -671,11 +682,11 @@ impl<'a> Parser<'a> {
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
         if integral {
-            if let Some(digits) = text.strip_prefix('-') {
-                if !digits.is_empty() {
-                    if let Ok(v) = text.parse::<i64>() {
-                        return Ok(JsonValue::Int(v));
-                    }
+            if text.starts_with('-') {
+                // `-0` falls through to `Float(-0.0)`: it is how the emitter
+                // writes a negative zero, which `Int(0)` would re-emit as `0`.
+                if let Some(v) = text.parse::<i64>().ok().filter(|&v| v != 0) {
+                    return Ok(JsonValue::Int(v));
                 }
             } else if let Ok(v) = text.parse::<u64>() {
                 return Ok(JsonValue::Uint(v));
@@ -712,6 +723,9 @@ impl<'a> Parser<'a> {
     fn object(&mut self) -> Result<JsonValue, String> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
+        // A set, not a scan of `fields`: a hostile object of n keys must
+        // not cost n² comparisons.
+        let mut keys = HashSet::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -719,7 +733,11 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
+            let key_at = self.pos;
             let key = self.string()?;
+            if !keys.insert(key.clone()) {
+                return Err(format!("duplicate key {key:?} at byte {key_at}"));
+            }
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
@@ -923,16 +941,42 @@ mod tests {
 
     #[test]
     fn object_key_order_and_lookup() {
-        let v = parse_json(r#"{"b":1,"a":2,"b":3}"#).unwrap();
+        let v = parse_json(r#"{"b":1,"a":2,"c":3}"#).unwrap();
         let keys: Vec<&str> = v
             .as_object()
             .unwrap()
             .iter()
             .map(|(k, _)| k.as_str())
             .collect();
-        assert_eq!(keys, vec!["b", "a", "b"]);
-        // First match wins.
+        assert_eq!(keys, vec!["b", "a", "c"]);
         assert_eq!(v.get("b").unwrap().as_u64(), Some(1));
         assert!(v.get("missing").is_none());
+        // A repeated key is an error at its opening quote.
+        let err = parse_json(r#"{"b":1,"a":2,"b":3}"#).unwrap_err();
+        assert!(err.contains("duplicate key \"b\" at byte 13"), "{err}");
+    }
+
+    #[test]
+    fn string_errors_name_their_byte() {
+        for (bad, at) in [
+            (r#"{"title":"abc"#, 13),
+            ("\"a\\", 2),
+            (r#""\u12"#, 5),
+            (r#""\u12x4""#, 5),
+            (r#""\ud800""#, 1),
+            (r#""\q""#, 1),
+        ] {
+            let err = parse_json(bad).unwrap_err();
+            assert!(err.contains(&format!("at byte {at}")), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn negative_zero_survives_the_integer_path() {
+        let v = parse_json("-0").unwrap();
+        assert!(matches!(v, JsonValue::Float(z) if z == 0.0 && z.is_sign_negative()));
+        assert_eq!(to_json_string(&v.as_f64().unwrap()).unwrap(), "-0");
+        assert_eq!(parse_json("-7").unwrap(), JsonValue::Int(-7));
+        assert_eq!(parse_json("0").unwrap(), JsonValue::Uint(0));
     }
 }

@@ -12,12 +12,11 @@
 //!   membership *and O(1) uniform random sampling*. The randomized marking
 //!   algorithm at the heart of R-BMA needs to evict a uniformly random
 //!   unmarked page per fault; this structure makes that O(1).
-//! * [`stats`] — streaming statistics (Welford), summaries, Gini coefficient
-//!   and least-squares regression used by trace analysis and the
-//!   competitive-ratio experiments.
-//! * [`csv`] — a minimal CSV emitter for benchmark series.
+//! * [`stats`] — streaming statistics (Welford), summaries, Zipf weights
+//!   and the Gini coefficient used by trace analysis and the generators.
 //! * [`json`] — a compact `serde`-compatible JSON writer used to persist
-//!   simulation reports without pulling in a full JSON crate.
+//!   simulation reports without pulling in a full JSON crate, and the
+//!   workspace's one JSON reader.
 //! * [`timer`] — a [`timer::Stopwatch`] for the execution-time
 //!   panels of the evaluation.
 //! * [`rngx`] — SplitMix64 seed derivation so that every run in a sweep gets
@@ -29,7 +28,6 @@
 //! * [`fsx`] — crash-safe filesystem primitives: atomic write-then-rename
 //!   and an advisory create-new file lock.
 
-pub mod csv;
 pub mod failpoint;
 pub mod fsx;
 pub mod fxhash;
@@ -39,10 +37,7 @@ pub mod rngx;
 pub mod stats;
 pub mod timer;
 
-pub use csv::CsvWriter;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use indexed_set::IndexedSet;
-pub use stats::{
-    gini, linear_regression, percentile, summarize, zipf_weights, OnlineStats, Summary,
-};
+pub use stats::{gini, summarize, zipf_weights, OnlineStats, Summary};
 pub use timer::Stopwatch;

@@ -93,26 +93,6 @@ impl OnlineStats {
             self.max
         }
     }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Summary of a batch of samples.
@@ -154,26 +134,6 @@ pub fn summarize(samples: &[f64]) -> Summary {
     }
 }
 
-/// Linear-interpolated percentile `p` in `\[0, 100\]` of `samples`.
-///
-/// Returns NaN on an empty slice. Sorts a copy: O(n log n).
-pub fn percentile(samples: &[f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return f64::NAN;
-    }
-    let mut v: Vec<f64> = samples.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in percentile input"));
-    let rank = (p.clamp(0.0, 100.0) / 100.0) * (v.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        v[lo]
-    } else {
-        let frac = rank - lo as f64;
-        v[lo] * (1.0 - frac) + v[hi] * frac
-    }
-}
-
 /// Gini coefficient of non-negative weights: 0 = perfectly uniform,
 /// → 1 = maximally skewed. Used to quantify spatial skew of traffic matrices.
 pub fn gini(weights: &[f64]) -> f64 {
@@ -190,36 +150,6 @@ pub fn gini(weights: &[f64]) -> f64 {
     // Gini = (2 * sum_i i*x_(i) ) / (n * total) - (n + 1) / n, with 1-based i.
     let weighted: f64 = v.iter().enumerate().map(|(i, x)| (i + 1) as f64 * x).sum();
     (2.0 * weighted) / (n as f64 * total) - (n as f64 + 1.0) / n as f64
-}
-
-/// Ordinary least squares fit `y ≈ slope * x + intercept`.
-///
-/// Returns `(slope, intercept, r²)`. Panics if fewer than 2 points or if all
-/// x are identical. Used to test growth shapes (linear vs logarithmic) in the
-/// lower-bound experiment.
-pub fn linear_regression(xs: &[f64], ys: &[f64]) -> (f64, f64, f64) {
-    assert_eq!(xs.len(), ys.len(), "x/y length mismatch");
-    assert!(xs.len() >= 2, "need at least two points");
-    let n = xs.len() as f64;
-    let mx = xs.iter().sum::<f64>() / n;
-    let my = ys.iter().sum::<f64>() / n;
-    let mut sxx = 0.0;
-    let mut sxy = 0.0;
-    let mut syy = 0.0;
-    for (&x, &y) in xs.iter().zip(ys) {
-        sxx += (x - mx) * (x - mx);
-        sxy += (x - mx) * (y - my);
-        syy += (y - my) * (y - my);
-    }
-    assert!(sxx > 0.0, "degenerate x values");
-    let slope = sxy / sxx;
-    let intercept = my - slope * mx;
-    let r2 = if syy == 0.0 {
-        1.0
-    } else {
-        (sxy * sxy) / (sxx * syy)
-    };
-    (slope, intercept, r2)
 }
 
 #[cfg(test)]
@@ -240,47 +170,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_matches_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i * i % 37) as f64).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &data {
-            whole.push(x);
-        }
-        let (a, b) = data.split_at(33);
-        let mut s1 = OnlineStats::new();
-        let mut s2 = OnlineStats::new();
-        a.iter().for_each(|&x| s1.push(x));
-        b.iter().for_each(|&x| s2.push(x));
-        s1.merge(&s2);
-        assert_eq!(s1.count(), whole.count());
-        assert!((s1.mean() - whole.mean()).abs() < 1e-9);
-        assert!((s1.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let v = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        assert_eq!(percentile(&v, 100.0), 4.0);
-        assert!((percentile(&v, 50.0) - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn gini_extremes() {
         assert!(gini(&[1.0, 1.0, 1.0, 1.0]).abs() < 1e-12);
         let skewed = gini(&[0.0, 0.0, 0.0, 100.0]);
         assert!(skewed > 0.7, "skewed gini was {skewed}");
         assert!(gini(&[]) == 0.0);
-    }
-
-    #[test]
-    fn regression_recovers_line() {
-        let xs: Vec<f64> = (0..50).map(|i| i as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| 3.0 * x - 2.0).collect();
-        let (slope, intercept, r2) = linear_regression(&xs, &ys);
-        assert!((slope - 3.0).abs() < 1e-9);
-        assert!((intercept + 2.0).abs() < 1e-9);
-        assert!((r2 - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! * [`core`] — R-BMA, BMA, SO-BMA, the cost model and the simulator.
 //! * [`adversary`] — coverage-guided adversarial trace search over
 //!   mutation genomes, with a replayable regression corpus.
-//! * [`telemetry`] — zero-overhead counters/gauges/histograms riding the
+//! * [`telemetry`] — zero-overhead counters and histograms riding the
 //!   hot paths (reports stay byte-identical with the sink on or off).
-//! * [`util`] — hashing, sampling sets, statistics, CSV/JSON.
+//! * [`util`] — hashing, sampling sets, statistics, JSON.
 //!
 //! # Quickstart
 //!
