@@ -1,9 +1,10 @@
 //! Per-request micro-latency of every scheduler, plus b-sensitivity.
 //!
-//! Supports the §3.2 execution-time discussion at the finest granularity:
-//! R-BMA's serve path is O(1) (hash bump; marking work only on special
-//! requests), BMA's pays recency upkeep on every request and an O(b)
-//! eviction scan on insertions.
+//! Times the per-request work behind the §3.2 execution-time panels at the
+//! finest granularity: R-BMA's ordinary request bumps one counter in a
+//! `PairTable`, with marking work only on special requests; BMA's
+//! pays O(1) recency upkeep (two list splices) on every hit and evicts
+//! from the head of an intrusive LRU.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dcn_bench::{FigureSpec, Workload};

@@ -31,10 +31,12 @@
 //! --fast        scale workloads down ~20x (quick smoke run)
 //! --scale F     multiply request counts by F (e.g. 10 for a 10x longer run;
 //!               composes with --fast). Workloads stream, so memory stays flat.
-//! --threads N   work-stealing worker count for job grids and for SO-BMA's
-//!               checkpoints in panel (c) (0 = auto, one per core — the
-//!               default). Timing-sensitive serve loops (panel b,
-//!               scaling/sweep rows) stay sequential regardless.
+//! --threads N   the width of every target (0 = auto, one per core — the
+//!               default): the work-stealing worker count for job grids and
+//!               for SO-BMA's checkpoints in panel (c). Each job serves on
+//!               one thread; above width 1, panel (b)'s sequential jobs
+//!               generate their next requests on a helper thread meanwhile.
+//!               --threads 1 keeps a target on one core.
 //! --pr N        PR number to record ledger measurements under (ledger only)
 //! --ledger-file PATH  ledger location (default BENCH_LEDGER.json)
 //! --shard I/M   compute only this shard's slice of a table target's rows
@@ -82,7 +84,7 @@ use dcn_bench::{
     run_panel, scaling_sweep, series_to_csv, series_to_markdown, shard, sweep_scaling, telem,
     worst_case_panel, FigureSpec, Panel, SimpleTable,
 };
-use dcn_core::sweep::{JobFailure, ShardSpec};
+use dcn_core::sweep::{with_threads, JobFailure, ShardSpec};
 use serde::Serialize;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -356,7 +358,10 @@ fn main() {
     for target in queue {
         let target_t0 = Instant::now();
         let served_before = dcn_core::total_served();
-        match target.as_str() {
+        // `--threads N` is the width of everything the target runs, so
+        // `--threads 1` keeps it on one core: no fan-out and no helper
+        // thread generating requests.
+        with_threads(threads, || match target.as_str() {
             id @ ("fig1" | "fig2" | "fig3" | "fig4") => {
                 if !shard_spec.is_full() {
                     eprintln!(
@@ -518,7 +523,7 @@ fn main() {
                 eprintln!("unknown target: {other}");
                 std::process::exit(2);
             }
-        }
+        });
         // Per-target footer: wall clock, requests actually pushed through
         // the serve loop (simulator-side counter, live even with telemetry
         // disabled) and the effective aggregate rate.
@@ -643,13 +648,10 @@ fn run_figure(spec: &FigureSpec, threads: usize, out_dir: Option<&std::path::Pat
         (Panel::ExecutionTime, "b", "Execution time [s]"),
         (Panel::BestOf, "c", "Best-of comparison (routing cost)"),
     ] {
-        // Panel b is timing-sensitive: single-threaded.
-        let t = if panel == Panel::ExecutionTime {
-            1
-        } else {
-            threads
-        };
-        let series = run_panel(spec, panel, t);
+        // Panel (b) runs its jobs one after another, each serving on one
+        // thread under the serve stopwatch; with a core to spare, a helper
+        // thread generates each job's next requests outside that stopwatch.
+        let series = run_panel(spec, panel, threads);
         println!(
             "{}",
             series_to_markdown(&format!("{}{suffix}: {label}", spec.id), &series)

@@ -291,8 +291,9 @@ fn run_b_sweep(
     out
 }
 
-/// Like [`run_b_sweep`] but strictly sequential (wall-clock fidelity) and
-/// with the elapsed-seconds metric.
+/// Like [`run_b_sweep`] but with the jobs one after another, each serving
+/// on one thread (wall-clock fidelity), and with the elapsed-seconds
+/// metric.
 fn run_b_sweep_sequential(
     spec: &FigureSpec,
     metric: impl Fn(&dcn_core::Checkpoint) -> f64 + Copy,
@@ -708,10 +709,12 @@ pub fn sweep_scaling(scale: f64, shard: ShardSpec) -> SimpleTable {
     let worker_counts = [1usize, 2, 4, 8];
     let any_owned = (0..worker_counts.len()).any(|i| shard.owns(i));
     // The sequential run doubles as the speedup baseline and the
-    // determinism reference.
+    // determinism reference. It runs at width 1, without the helper thread
+    // that would generate its requests on a second core, so the speedup
+    // column stays "vs one core".
     let (reference, seq_secs) = if any_owned {
         let start = std::time::Instant::now();
-        let reports = run_jobs_sequential(&dm, &jobs);
+        let reports = with_threads(1, || run_jobs_sequential(&dm, &jobs));
         (Some(reports), start.elapsed().as_secs_f64())
     } else {
         (None, 0.0)

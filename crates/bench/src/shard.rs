@@ -339,8 +339,8 @@ mod tests {
     #[test]
     fn truncated_artifacts_error_without_panicking() {
         // Kill-mid-write leaves a prefix: every strict prefix of a valid
-        // artifact must come back as Err (naming a byte offset for the
-        // common "ran out of input" case), never a panic or a silent Ok.
+        // artifact must come back as Err naming a byte offset, never a
+        // panic or a silent Ok. That includes cuts inside a string.
         let mut table = sample_table();
         table.statuses = vec![(1, "note".into())];
         let json = table.to_json();
@@ -349,11 +349,18 @@ mod tests {
                 continue;
             }
             let err = SimpleTable::from_json(&json[..cut]).expect_err("prefix must not parse");
-            assert!(!err.is_empty());
+            assert!(err.contains("at byte"), "cut at {cut}: {err}");
         }
         assert!(SimpleTable::from_json(&json[..json.len() - 1])
             .unwrap_err()
             .contains("byte"));
+        // A cut inside the title ends the input inside a string.
+        let cut = json.find("Scaling").expect("title") + 3;
+        let err = SimpleTable::from_json(&json[..cut]).unwrap_err();
+        assert!(
+            err.contains(&format!("unterminated string at byte {cut}")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -490,6 +497,12 @@ mod tests {
         let err = merge_target_dir(&dir, "mangled").unwrap_err();
         assert!(err.contains(&name0), "{err}");
         assert!(err.contains("byte"), "{err}");
+        // Truncated inside a string (a row label): the same two facts.
+        let cut = json.find("row2").expect("a row label") + 2;
+        std::fs::write(dir.join(&name0), &json[..cut]).expect("write");
+        let err = merge_target_dir(&dir, "mangled").unwrap_err();
+        assert!(err.contains(&name0), "{err}");
+        assert!(err.contains(&format!("at byte {cut}")), "{err}");
 
         // Mixed shard counts: both file names appear in the error.
         std::fs::write(dir.join(&name0), &json).expect("write");

@@ -14,14 +14,13 @@
 //! Ω(b) on the §2.4 star nemesis, which is the property the comparison
 //! exercises.
 //!
-//! Implementation note (execution-time fidelity, Figs. 1b–4b): evicting the
+//! Implementation note (execution time, Figs. 1b–4b): evicting the
 //! least-recently-used *incident* edge deterministically requires a
 //! per-node recency index, so every request to a matched pair updates the
-//! indexes at both endpoints, while R-BMA's ordinary-request path is a
-//! single counter bump. This per-hit upkeep — inherent to deterministic
-//! recency-based eviction — is what makes BMA slower per request and more
-//! sensitive to `b` than R-BMA, the effect §3.2 reports. The upkeep itself
-//! is O(1): the recency index is a flat intrusive LRU threaded through
+//! indexes at both endpoints, where R-BMA's ordinary request bumps one
+//! counter. How the two compare per request also depends on how often
+//! each reconfigures, which the trace decides; the panel (b) artifacts say
+//! which serves faster. The upkeep itself is O(1): the recency index is a flat intrusive LRU threaded through
 //! the matching's fixed-stride adjacency
 //! ([`dcn_matching::recency::LruBMatching`] — a hit is one load of the
 //! matching's position index plus two list splices, eviction a head read,

@@ -25,8 +25,10 @@
 //! * [`sweep`] — deterministic parallel fan-out of
 //!   (algorithm × b × trace-seed × algo-seed) runs across threads; each
 //!   job carries a [`dcn_traces::TraceSpec`] and synthesizes its own
-//!   stream in-place. This is the only parallelism: each simulation runs
-//!   sequentially, as in §3.1.
+//!   stream in-place. Each simulation serves on one thread, as in §3.1.
+//! * [`prefetch`] — generate while serving: a sequential job with a core
+//!   to spare has one helper thread fill its next requests into a small
+//!   ring, with every report and counter unchanged.
 //! * [`journal`] / [`sweep::run_jobs_supervised`] — the fault-tolerance
 //!   layer: `catch_unwind` supervision with a fixed, deterministic retry
 //!   budget ([`sweep::RETRIES`], [`sweep::BACKOFF_BASE`]) and structured
@@ -65,6 +67,7 @@
 
 pub mod algorithms;
 pub mod journal;
+pub mod prefetch;
 pub mod ratio;
 pub mod report;
 pub mod scheduler;

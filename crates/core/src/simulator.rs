@@ -4,9 +4,13 @@
 //! The simulator owns the cost model: routing cost is decided by the
 //! matching state *at request arrival* (1 if matched, `ℓ_e` otherwise),
 //! reconfigurations cost α each. Wall-clock time covers only the serve
-//! loop — snapshotting is excluded, and runs are single-threaded by
-//! always, matching "each simulation is run sequentially" in §3.1
-//! (parallelism lives in the sweep executor, across independent runs).
+//! loop — snapshotting and request generation are excluded — and a run
+//! serves on the calling thread, matching "each simulation is run
+//! sequentially" in §3.1. Parallelism lives in the sweep executor, across
+//! independent runs; the one exception, chosen there, is a helper thread
+//! that generates a sequential job's next requests
+//! ([`crate::prefetch::with_prefetch`]), which leaves serving, and so the
+//! stopwatch, on this thread.
 //!
 //! The serve loop is **batched**: requests are pulled through the
 //! [`RequestStream`] abstraction in chunks of up to

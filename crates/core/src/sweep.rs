@@ -3,8 +3,8 @@
 //! multi-host splits.
 //!
 //! Cost figures need (algorithm × b × trace-seed × algo-seed) grids of
-//! runs; each run is single-threaded (per the paper's methodology) but runs
-//! are independent. Workers claim jobs dynamically from a shared atomic
+//! runs; each run serves on one thread (per the paper's methodology) but
+//! runs are independent. Workers claim jobs dynamically from a shared atomic
 //! cursor — the next idle worker takes the next undone job — so skewed job
 //! costs (a 10⁷-request run next to 10⁵-request runs, exactly the shape of
 //! the scaling/robustness grids) never leave cores idle behind a static
@@ -42,10 +42,16 @@
 //! count), there is no shared-trace `Arc` to contend on, and
 //! (trace-seed × algo-seed) grids are just more jobs.
 //!
-//! Execution-*time* figures must not share cores; use `threads = 1` (or
-//! [`run_jobs_sequential`]) for those, as the figure harness does.
+//! Execution-*time* figures must not share cores between runs; they use
+//! [`run_jobs_sequential`], as the figure harness does. A job run there
+//! with a core to spare — auto width above one, i.e. outside any worker
+//! and not under `with_threads(1)` — hands its request source to a helper
+//! thread that generates the next requests while the job serves
+//! ([`crate::prefetch`]). Reports are identical either way, and the serve
+//! stopwatch still times serving only.
 
 use crate::algorithms::AlgorithmKind;
+use crate::prefetch::with_prefetch;
 use crate::report::RunReport;
 use crate::simulator::{run, SimConfig};
 use dcn_telemetry::{Histogram, Telemetry};
@@ -204,7 +210,8 @@ pub fn resolve_threads(threads: usize) -> usize {
 /// thread, and restores the previous width when `f` returns or unwinds.
 /// `threads = 0` leaves the width as it is. This is how a caller caps a
 /// fan-out it does not configure directly, e.g. `--threads 1` keeping
-/// [`crate::algorithms::static_offline::so_bma_series`] on one core.
+/// [`crate::algorithms::static_offline::so_bma_series`] on one core, and
+/// a sequential job's request generation on its serving thread.
 pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     let _scope = (threads != 0).then(|| AutoWidth::set(threads));
     f()
@@ -312,7 +319,9 @@ fn claim_loop<T>(
     }
 }
 
-/// Single-threaded variant (for wall-clock fidelity).
+/// The jobs one after another, each serving on this thread (for wall-clock
+/// fidelity). With a core to spare, a helper thread generates each job's
+/// next requests meanwhile (see the module docs).
 pub fn run_jobs_sequential(dm: &Arc<DistanceMatrix>, jobs: &[Job]) -> Vec<RunReport> {
     jobs.iter().map(|j| execute(dm, j)).collect()
 }
@@ -330,7 +339,15 @@ fn execute(dm: &Arc<DistanceMatrix>, job: &Job) -> RunReport {
     let mut scheduler = job
         .algorithm
         .build_online(Arc::clone(dm), job.b, job.alpha, job.seed);
-    let mut report = run(scheduler.as_mut(), dm, job.alpha, source.as_mut(), &config);
+    // With a core to spare (outside any worker, not under `threads = 1`),
+    // a helper thread generates the next requests while this one serves.
+    let mut report = if resolve_threads(0) > 1 {
+        with_prefetch(source.as_mut(), |stream| {
+            run(scheduler.as_mut(), dm, job.alpha, stream, &config)
+        })
+    } else {
+        run(scheduler.as_mut(), dm, job.alpha, source.as_mut(), &config)
+    };
     report.algorithm = job.algorithm.label();
     report
 }

@@ -12,8 +12,7 @@
 //! the analysis.
 //!
 //! Every operation is O(1) expected time thanks to [`IndexedSet`]'s O(1)
-//! uniform sampling — this is what makes R-BMA's serve path constant-time
-//! and underlies the execution-time gap to BMA in Figs. 1b–4b.
+//! uniform sampling.
 
 use crate::policy::{Access, PageId, PagingPolicy};
 use dcn_util::IndexedSet;

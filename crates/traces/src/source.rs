@@ -238,6 +238,7 @@ impl<K: SourceKernel> RequestSource for SeededSource<K> {
     }
 
     fn fill(&mut self, buf: &mut [Pair]) -> usize {
+        dcn_util::failpoint::hit("traces.fill");
         let n = buf.len().min(self.len - self.pos);
         self.kernel
             .emit_batch(self.pos, &mut buf[..n], &mut self.rng);

@@ -595,6 +595,14 @@ impl<'a> Parser<'a> {
                 if b == b'"' || b == b'\\' {
                     break;
                 }
+                if b < 0x20 {
+                    // JSON strings escape every control character, as
+                    // `escape_into` does.
+                    return Err(format!(
+                        "raw control character {b:#04x} in string at byte {}",
+                        self.pos
+                    ));
+                }
                 self.pos += 1;
             }
             out.push_str(
@@ -653,21 +661,42 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Consumes one or more decimal digits.
+    fn digits(&mut self) -> Result<(), String> {
+        if !matches!(self.peek(), Some(b'0'..=b'9')) {
+            return Err(format!(
+                "expected a digit at byte {}, found {:?}",
+                self.pos,
+                self.peek().map(|c| c as char)
+            ));
+        }
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        Ok(())
+    }
+
+    /// JSON's number grammar, which `f64::from_str` is laxer than: no
+    /// leading zero, and digits before and after the point and after the
+    /// exponent mark.
     fn number(&mut self) -> Result<JsonValue, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        if self.peek() == Some(b'0') {
             self.pos += 1;
+            if matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(format!("digit after a leading zero at byte {}", self.pos));
+            }
+        } else {
+            self.digits()?;
         }
         let mut integral = true;
         if self.peek() == Some(b'.') {
             integral = false;
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             integral = false;
@@ -675,9 +704,7 @@ impl<'a> Parser<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
@@ -969,6 +996,40 @@ mod tests {
             let err = parse_json(bad).unwrap_err();
             assert!(err.contains(&format!("at byte {at}")), "{bad:?}: {err}");
         }
+    }
+
+    #[test]
+    fn lax_numbers_and_raw_control_characters_name_their_byte() {
+        for (bad, at) in [
+            ("01", 1),
+            ("-01", 2),
+            ("[00]", 2),
+            ("1.", 2),
+            ("-.5", 1),
+            ("-", 1),
+            (".5", 0),
+            ("1.e5", 2),
+            ("1e", 2),
+            ("1e+", 3),
+            ("[1,-]", 4),
+            ("\"a\u{1}b\"", 2),
+            ("\"tab\there\"", 4),
+            ("{\"k\n\":1}", 3),
+            ("[\"\u{1f}\"]", 2),
+        ] {
+            let err = parse_json(bad).unwrap_err();
+            assert!(err.contains(&format!("at byte {at}")), "{bad:?}: {err}");
+        }
+        for good in [
+            "0", "-0", "0.5", "-0.5", "10", "1e5", "1E-5", "2.5e+3", "0e0",
+        ] {
+            assert!(parse_json(good).is_ok(), "{good:?}");
+        }
+        // Escaped control characters are what the emitter writes, and read.
+        assert_eq!(
+            parse_json("\"\\u0001\\t\"").unwrap(),
+            JsonValue::Str("\u{1}\t".into())
+        );
     }
 
     #[test]

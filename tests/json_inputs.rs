@@ -181,3 +181,49 @@ fn a_repeated_key_is_an_error() {
         assert!((k.reread)(&mutant).is_err(), "{}", k.name);
     }
 }
+
+/// The byte offset of the first number outside a string that starts with
+/// a digit.
+fn first_unsigned_number(doc: &str) -> usize {
+    let (mut in_string, mut escaped) = (false, false);
+    for (i, b) in doc.bytes().enumerate() {
+        match (in_string, escaped, b) {
+            (true, true, _) => escaped = false,
+            (true, false, b'\\') => escaped = true,
+            (_, false, b'"') => in_string = !in_string,
+            (false, _, b'0'..=b'9') => return i,
+            _ => {}
+        }
+    }
+    panic!("no number in {doc:.80}")
+}
+
+#[test]
+fn lax_numbers_and_raw_control_characters_are_errors_naming_their_byte() {
+    for k in input_kinds() {
+        let doc = k.document.trim();
+        let at = first_unsigned_number(doc);
+        let end = doc[at..]
+            .find(|c: char| !c.is_ascii_digit())
+            .map_or(doc.len(), |n| at + n);
+        let (head, tail) = (&doc[..at], &doc[at..]);
+        for (mutant, byte) in [
+            // A leading zero: the original first digit is the offender.
+            (format!("{head}0{tail}"), at + 1),
+            // A point with no digit after it.
+            (format!("{}.{}", &doc[..end], &doc[end..]), end + 1),
+            // A sign with no digit after it.
+            (format!("{head}-.{tail}"), at + 1),
+            // A raw control character inside the first key.
+            (format!("{}\u{1}{}", &doc[..2], &doc[2..]), 2),
+        ] {
+            let err = parse_json(&mutant).expect_err("lax JSON must not parse");
+            assert!(
+                err.contains(&format!("at byte {byte}")),
+                "{}: {mutant:.80}: {err}",
+                k.name
+            );
+            assert!((k.reread)(&mutant).is_err(), "{}", k.name);
+        }
+    }
+}
