@@ -14,16 +14,6 @@ use dcn_topology::{builders, DistanceMatrix, Pair};
 use dcn_traces::{zipf_pair_source, RequestSource};
 use std::sync::Arc;
 
-/// `report` as JSON with every wall-clock field zeroed: equal strings mean
-/// equal reports in every deterministic field.
-fn costs_json(mut report: RunReport) -> String {
-    report.total.elapsed_secs = 0.0;
-    for checkpoint in &mut report.checkpoints {
-        checkpoint.elapsed_secs = 0.0;
-    }
-    report.to_json()
-}
-
 /// Runs `Bma` and `BmaBTree` over `trace` and asserts identical reports.
 fn assert_oracle_agrees(
     dm: &Arc<DistanceMatrix>,
@@ -41,7 +31,11 @@ fn assert_oracle_agrees(
     let run_with = |scheduler: &mut dyn OnlineScheduler| run(scheduler, dm, alpha, trace, &config);
     let flat = run_with(&mut Bma::new(Arc::clone(dm), b, alpha));
     let oracle = run_with(&mut BmaBTree::new(Arc::clone(dm), b, alpha));
-    assert_eq!(costs_json(flat.clone()), costs_json(oracle), "{ctx}");
+    assert_eq!(
+        flat.without_wall_clock(),
+        oracle.without_wall_clock(),
+        "{ctx}"
+    );
     flat
 }
 

@@ -96,9 +96,8 @@ fn topology_distances(c: &mut Criterion) {
         .sample_size(10)
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_secs(2));
-    // ≤ 100 racks: between_racks_parallel must fall back to the sequential
-    // path (never slower at paper scale); 256 racks exercises the real
-    // chunked fan-out and is where parallel should win.
+    // One BFS per rack: the figures build 50 or 100 racks; 256 shows how
+    // the build grows past paper scale.
     for racks in [50usize, 100, 256] {
         let net = builders::fat_tree_with_racks(racks);
         group.bench_with_input(
@@ -106,9 +105,6 @@ fn topology_distances(c: &mut Criterion) {
             &net,
             |b, net| b.iter(|| black_box(DistanceMatrix::between_racks(net))),
         );
-        group.bench_with_input(BenchmarkId::new("apsp_parallel4", racks), &net, |b, net| {
-            b.iter(|| black_box(DistanceMatrix::between_racks_parallel(net, 4)))
-        });
     }
     group.finish();
 }

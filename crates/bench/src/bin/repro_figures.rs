@@ -32,11 +32,13 @@
 //! --scale F     multiply request counts by F (e.g. 10 for a 10x longer run;
 //!               composes with --fast). Workloads stream, so memory stays flat.
 //! --threads N   the width of every target (0 = auto, one per core — the
-//!               default): the work-stealing worker count for job grids and
-//!               for SO-BMA's checkpoints in panel (c). Each job serves on
-//!               one thread; above width 1, panel (b)'s sequential jobs
-//!               generate their next requests on a helper thread meanwhile.
-//!               --threads 1 keeps a target on one core.
+//!               default): the work-stealing worker count for table
+//!               targets' job grids. A figure runs each job once, one after
+//!               another, and reads panels a, b and c from those reports;
+//!               there N is the width of SO-BMA's checkpoint fan-out for
+//!               panel c, and above width 1 a helper thread generates each
+//!               job's next requests while it serves. Each job serves on
+//!               one thread. --threads 1 keeps a target on one core.
 //! --pr N        PR number to record ledger measurements under (ledger only)
 //! --ledger-file PATH  ledger location (default BENCH_LEDGER.json)
 //! --shard I/M   compute only this shard's slice of a table target's rows
@@ -80,9 +82,9 @@
 
 use dcn_bench::{
     ablation_alpha, ablation_augmentation, ablation_removal, ablation_skew, adversary_search,
-    demand_sweep, genomes_to_json, locked_update, lower_bound_gap, measure_standard_point,
-    run_panel, scaling_sweep, series_to_csv, series_to_markdown, shard, sweep_scaling, telem,
-    worst_case_panel, FigureSpec, Panel, SimpleTable,
+    demand_sweep, figure_pass, genomes_to_json, locked_update, lower_bound_gap,
+    measure_standard_point, scaling_sweep, series_to_csv, series_to_markdown, shard, sweep_scaling,
+    telem, worst_case_panel, FigureSpec, SimpleTable,
 };
 use dcn_core::sweep::{with_threads, JobFailure, ShardSpec};
 use serde::Serialize;
@@ -474,7 +476,7 @@ fn main() {
                     .iter()
                     .map(|&l| ((l as f64 * scale_factor).round() as usize).max(1))
                     .collect();
-                let (table, specials_share) = scaling_sweep(&lens, threads, shard_spec);
+                let (table, specials_share) = scaling_sweep(&lens, shard_spec);
                 print_table(
                     "scaling",
                     table,
@@ -638,20 +640,20 @@ fn diff_telemetry(a: &str, b: &str) {
 }
 
 fn run_figure(spec: &FigureSpec, threads: usize, out_dir: Option<&std::path::Path>) {
-    let threads = dcn_core::sweep::resolve_threads(threads);
     println!(
         "\n## {} — {} ({} requests, α={})\n",
         spec.id, spec.title, spec.total_requests, spec.alpha
     );
-    for (panel, suffix, label) in [
-        (Panel::RoutingCost, "a", "Routing cost"),
-        (Panel::ExecutionTime, "b", "Execution time [s]"),
-        (Panel::BestOf, "c", "Best-of comparison (routing cost)"),
+    // One pass: every job runs once, one after another, each serving on
+    // one thread under the serve stopwatch (with a core to spare, a helper
+    // thread generates its next requests meanwhile), and all three panels
+    // read the same reports.
+    let [a, b, c] = figure_pass(spec, threads);
+    for (series, suffix, label) in [
+        (a, "a", "Routing cost"),
+        (b, "b", "Execution time [s]"),
+        (c, "c", "Best-of comparison (routing cost)"),
     ] {
-        // Panel (b) runs its jobs one after another, each serving on one
-        // thread under the serve stopwatch; with a core to spare, a helper
-        // thread generates each job's next requests outside that stopwatch.
-        let series = run_panel(spec, panel, threads);
         println!(
             "{}",
             series_to_markdown(&format!("{}{suffix}: {label}", spec.id), &series)

@@ -22,7 +22,7 @@
 
 use crate::SimpleTable;
 use dcn_core::algorithms::AlgorithmKind;
-use dcn_core::sweep::{resolve_threads, run_jobs_supervised, Job, JobFailure, ShardSpec};
+use dcn_core::sweep::{run_jobs_supervised, Job, JobFailure, ShardSpec};
 use dcn_demand::{DemandMatrix, MicrosoftParams};
 use dcn_topology::{builders, DistanceMatrix};
 use dcn_traces::TraceSpec;
@@ -56,10 +56,7 @@ pub fn demand_sweep(
     let reps = 2u64;
     let len = ((400_000.0 * scale).round() as usize).max(2_000);
     let net = builders::fat_tree_with_racks(racks);
-    let dm = Arc::new(DistanceMatrix::between_racks_parallel(
-        &net,
-        resolve_threads(threads),
-    ));
+    let dm = Arc::new(DistanceMatrix::between_racks(&net));
 
     // The forecast the static design is built on, and the independent
     // matrix the served traffic drifts toward (normalized so blends are

@@ -18,10 +18,12 @@
 //! | executor scaling (skewed grids)   | `repro_figures sweep` |
 //! | per-request latency vs b          | `cargo bench -p dcn-bench` |
 //!
-//! Workloads are described by [`dcn_traces::TraceSpec`] and streamed
-//! per-job inside [`dcn_core::sweep::run_jobs`], so figure runs hold O(1)
-//! trace memory regardless of `--scale`; only the offline SO-BMA series
-//! materializes (one repetition at a time).
+//! A figure is one pass ([`figure_pass`]): each job of [`figure_jobs`] runs
+//! once, one after another, and panels (a), (b) and (c) read the same
+//! reports. Workloads are described by [`dcn_traces::TraceSpec`] and
+//! streamed per job, so figure runs hold O(1) trace memory regardless of
+//! `--scale`; only the offline SO-BMA series materializes (one repetition
+//! at a time).
 
 pub mod ablations;
 pub mod adversary;
@@ -42,10 +44,7 @@ pub use shard::{merge_tables, merged_file_name, shard_file_name};
 use dcn_core::algorithms::static_offline::so_bma_series;
 use dcn_core::algorithms::AlgorithmKind;
 use dcn_core::report::AveragedSeries;
-use dcn_core::sweep::{
-    resolve_threads, run_jobs, run_jobs_sequential, with_threads, Job, ShardSpec,
-};
-use dcn_core::RunReport;
+use dcn_core::sweep::{run_jobs, run_jobs_sequential, with_threads, Job, ShardSpec};
 use dcn_topology::{builders, DistanceMatrix};
 use dcn_traces::{FacebookCluster, MicrosoftParams, Trace, TraceSpec};
 use dcn_util::rngx::derive_seed;
@@ -221,7 +220,7 @@ impl FigureSpec {
     /// Fat-tree distance matrix for this spec's rack count.
     pub fn distances(&self) -> Arc<DistanceMatrix> {
         let net = builders::fat_tree_with_racks(self.racks);
-        Arc::new(DistanceMatrix::between_racks_parallel(&net, 4))
+        Arc::new(DistanceMatrix::between_racks(&net))
     }
 
     /// The checkpoint grid.
@@ -230,148 +229,111 @@ impl FigureSpec {
     }
 }
 
-/// Panel selector for figure runs.
+/// Panel selector for [`run_panel`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Panel {
     /// Routing cost, b-sweep + oblivious (Figs. *a).
     RoutingCost,
-    /// Execution time, b-sweep (Figs. *b) — always run sequentially.
+    /// Execution time, b-sweep (Figs. *b).
     ExecutionTime,
     /// Best-of comparison at max b incl. SO-BMA (Figs. *c).
     BestOf,
 }
 
-/// Runs one panel of a figure; returns one averaged series per legend entry.
+/// One panel of a figure: runs [`figure_pass`] and keeps that panel
+/// (perfbench's `fig1` check compares its own series with these).
 pub fn run_panel(spec: &FigureSpec, panel: Panel, threads: usize) -> Vec<AveragedSeries> {
+    let [routing_cost, execution_time, best_of] = figure_pass(spec, threads);
     match panel {
-        Panel::RoutingCost => {
-            let mut series = run_b_sweep(spec, threads, |c| c.routing_cost as f64);
-            series.push(oblivious_series(spec, threads));
-            series
-        }
-        Panel::ExecutionTime => run_b_sweep_sequential(spec, |c| c.elapsed_secs),
-        Panel::BestOf => best_of_series(spec, threads),
+        Panel::RoutingCost => routing_cost,
+        Panel::ExecutionTime => execution_time,
+        Panel::BestOf => best_of,
     }
 }
 
-/// One job per repetition; every job carries its own trace spec, so the
-/// whole repetition grid fans out in a single `run_jobs` call with no
-/// shared trace.
-fn grid_jobs(spec: &FigureSpec, algorithm: AlgorithmKind, b: usize) -> Vec<Job> {
-    (0..spec.repetitions)
-        .map(|rep| Job {
-            algorithm: algorithm.clone(),
-            b,
-            alpha: spec.alpha,
-            seed: derive_seed(0xA1, rep),
-            checkpoints: spec.checkpoints(),
-            trace: spec.trace_spec(rep),
+/// Every simulated job of a figure, in the order [`figure_pass`] runs
+/// them: R-BMA at every b, then BMA at every b, then Oblivious, each legend
+/// entry as one job per repetition. Every job carries its own trace spec,
+/// so no trace is shared.
+pub fn figure_jobs(spec: &FigureSpec) -> Vec<Job> {
+    let online = [AlgorithmKind::Rbma { lazy: true }, AlgorithmKind::Bma];
+    let entries = online
+        .iter()
+        .flat_map(|algorithm| spec.bs.iter().map(move |&b| (algorithm.clone(), b)));
+    entries
+        .chain([(AlgorithmKind::Oblivious, spec.bs[0])])
+        .flat_map(|(algorithm, b)| {
+            (0..spec.repetitions).map(move |rep| Job {
+                algorithm: algorithm.clone(),
+                b,
+                alpha: spec.alpha,
+                seed: derive_seed(0xA1, rep),
+                checkpoints: spec.checkpoints(),
+                trace: spec.trace_spec(rep),
+            })
         })
         .collect()
 }
 
-/// Runs R-BMA and BMA for every b, averaging `metric` across repetitions.
-fn run_b_sweep(
-    spec: &FigureSpec,
-    threads: usize,
-    metric: impl Fn(&dcn_core::Checkpoint) -> f64 + Copy,
-) -> Vec<AveragedSeries> {
-    let dm = spec.distances();
-    let mut out = Vec::new();
-    for algorithm in [AlgorithmKind::Rbma { lazy: true }, AlgorithmKind::Bma] {
-        for &b in &spec.bs {
-            let reports = run_reps(spec, &dm, algorithm.clone(), b, threads);
-            out.push(AveragedSeries::from_reports(
-                format!("{} (b: {b})", algorithm.label()),
-                &reports,
-                metric,
-            ));
+/// Runs a figure once and returns its panels (a), (b) and (c), one
+/// averaged series per legend entry.
+///
+/// Every job of [`figure_jobs`] runs once, one after another, serving on
+/// one thread under the serve stopwatch; with a core to spare, a helper
+/// thread generates each job's next requests meanwhile. The panels read
+/// the same reports: panel (a) every entry's routing cost, panel (b)
+/// R-BMA's and BMA's elapsed seconds, and panel (c) panel (a)'s R-BMA and
+/// BMA series at the largest b, next to SO-BMA's. `threads` is the width
+/// of the pass (`0` = auto): above one the helper runs, and SO-BMA prices
+/// its checkpoints that wide.
+pub fn figure_pass(spec: &FigureSpec, threads: usize) -> [Vec<AveragedSeries>; 3] {
+    with_threads(threads, || {
+        let dm = spec.distances();
+        let jobs = figure_jobs(spec);
+        let reports = run_jobs_sequential(&dm, &jobs);
+        let reps = spec.repetitions as usize;
+        let (online, oblivious) = reports.split_at(reports.len() - reps);
+        let routing = |c: &dcn_core::Checkpoint| c.routing_cost as f64;
+        let mut routing_cost = Vec::new();
+        let mut execution_time = Vec::new();
+        for (entry, job) in online.chunks(reps).zip(jobs.iter().step_by(reps)) {
+            let label = format!("{} (b: {})", job.algorithm.label(), job.b);
+            routing_cost.push(AveragedSeries::from_reports(&label, entry, routing));
+            execution_time.push(AveragedSeries::from_reports(label, entry, |c| {
+                c.elapsed_secs
+            }));
         }
-    }
-    out
-}
-
-/// Like [`run_b_sweep`] but with the jobs one after another, each serving
-/// on one thread (wall-clock fidelity), and with the elapsed-seconds
-/// metric.
-fn run_b_sweep_sequential(
-    spec: &FigureSpec,
-    metric: impl Fn(&dcn_core::Checkpoint) -> f64 + Copy,
-) -> Vec<AveragedSeries> {
-    let dm = spec.distances();
-    let mut out = Vec::new();
-    for algorithm in [AlgorithmKind::Rbma { lazy: true }, AlgorithmKind::Bma] {
-        for &b in &spec.bs {
-            let reports = run_jobs_sequential(&dm, &grid_jobs(spec, algorithm.clone(), b));
-            out.push(AveragedSeries::from_reports(
-                format!("{} (b: {b})", algorithm.label()),
-                &reports,
-                metric,
-            ));
-        }
-    }
-    out
-}
-
-fn run_reps(
-    spec: &FigureSpec,
-    dm: &Arc<DistanceMatrix>,
-    algorithm: AlgorithmKind,
-    b: usize,
-    threads: usize,
-) -> Vec<RunReport> {
-    run_jobs(dm, &grid_jobs(spec, algorithm, b), threads)
-}
-
-fn oblivious_series(spec: &FigureSpec, threads: usize) -> AveragedSeries {
-    let dm = spec.distances();
-    let reports = run_reps(spec, &dm, AlgorithmKind::Oblivious, spec.bs[0], threads);
-    AveragedSeries::from_reports("Oblivious", &reports, |c| c.routing_cost as f64)
-}
-
-/// Panel (c): R-BMA vs BMA vs SO-BMA at the largest b.
-fn best_of_series(spec: &FigureSpec, threads: usize) -> Vec<AveragedSeries> {
-    let dm = spec.distances();
-    let b = *spec.bs.last().expect("non-empty b sweep");
-    let mut out = Vec::new();
-    for algorithm in [AlgorithmKind::Rbma { lazy: true }, AlgorithmKind::Bma] {
-        let reports = run_reps(spec, &dm, algorithm.clone(), b, threads);
-        out.push(AveragedSeries::from_reports(
-            format!("{} (b: {b})", algorithm.label()),
-            &reports,
-            |c| c.routing_cost as f64,
+        routing_cost.push(AveragedSeries::from_reports(
+            "Oblivious",
+            oblivious,
+            routing,
         ));
-    }
-    // SO-BMA: clairvoyant static matching recomputed per checkpoint. Offline
-    // by definition, so this is the one place a figure materializes its
-    // trace — one repetition at a time, freed before the next. Each series
-    // fans its checkpoints out at `threads` wide.
-    let cps = spec.checkpoints();
-    let per_rep: Vec<Vec<f64>> = with_threads(threads, || {
-        (0..spec.repetitions)
+        let nb = spec.bs.len();
+        let mut best_of = vec![
+            routing_cost[nb - 1].clone(),
+            routing_cost[2 * nb - 1].clone(),
+        ];
+        // SO-BMA: clairvoyant static matching recomputed per checkpoint.
+        // Offline by definition, so this is the one place a figure
+        // materializes its trace — one repetition at a time, freed before
+        // the next.
+        let b = spec.bs[nb - 1];
+        let cps = spec.checkpoints();
+        let per_rep: Vec<Vec<f64>> = (0..spec.repetitions)
             .map(|rep| {
                 let trace = spec.trace(rep);
                 let series = so_bma_series(&dm, &trace.requests, b, &cps);
                 series.into_iter().map(|(_, cost)| cost as f64).collect()
             })
-            .collect()
-    });
-    let x: Vec<u64> = cps.iter().map(|&c| c as u64).collect();
-    let mut y_mean = Vec::with_capacity(x.len());
-    let mut y_std = Vec::with_capacity(x.len());
-    for i in 0..x.len() {
-        let samples: Vec<f64> = per_rep.iter().map(|r| r[i]).collect();
-        let s = dcn_util::summarize(&samples);
-        y_mean.push(s.mean);
-        y_std.push(s.stddev);
-    }
-    out.push(AveragedSeries {
-        label: format!("SO-BMA (b: {b})"),
-        x,
-        y_mean,
-        y_std,
-    });
-    out
+            .collect();
+        let x = cps.iter().map(|&c| c as u64).collect();
+        best_of.push(AveragedSeries::from_runs(
+            format!("SO-BMA (b: {b})"),
+            x,
+            &per_rep,
+        ));
+        [routing_cost, execution_time, best_of]
+    })
 }
 
 /// The standing adversarial worst-case panel seeded into the figure and
@@ -456,9 +418,8 @@ pub fn worst_case_panel() -> SimpleTable {
 ///
 /// Simulation runs stay strictly sequential (the table reports wall-clock
 /// throughput, and timing runs must not share cores — same rule as the
-/// execution-time panels); `threads` only accelerates the one non-timed
-/// setup step (the APSP distance build). `shard` selects which rows (by
-/// original index, so seeds are unchanged) this invocation computes.
+/// execution-time panels). `shard` selects which rows (by original index,
+/// so seeds are unchanged) this invocation computes.
 ///
 /// Further additions, live in the artifact:
 ///
@@ -476,16 +437,13 @@ pub fn worst_case_panel() -> SimpleTable {
 ///   The caller prints it as the target footer.
 ///
 /// [`CorpusEntry::verify`]: dcn_adversary::CorpusEntry::verify
-pub fn scaling_sweep(lens: &[usize], threads: usize, shard: ShardSpec) -> (SimpleTable, f64) {
+pub fn scaling_sweep(lens: &[usize], shard: ShardSpec) -> (SimpleTable, f64) {
     let racks = 100;
     let b = 12;
     let alpha = 10u64;
     let exponent = 1.2;
     let net = builders::fat_tree_with_racks(racks);
-    let dm = Arc::new(DistanceMatrix::between_racks_parallel(
-        &net,
-        resolve_threads(threads),
-    ));
+    let dm = Arc::new(DistanceMatrix::between_racks(&net));
     // Local metering sink: the measured runs flush here first so the
     // footer can report the observed specials share; the snapshot merges
     // into the process-global sink at the end (a no-op when none is
@@ -532,16 +490,21 @@ pub fn scaling_sweep(lens: &[usize], threads: usize, shard: ShardSpec) -> (Simpl
         let rbma_unbatched = run_streamed(&spec, &rbma_kind, 1);
         rbma_requests += rbma.total.requests * 2;
         // Batched ≡ per-request, live, on every seeded report field.
-        assert_reports_equal(&rbma, &rbma_unbatched, "R-BMA batched vs per-request");
+        assert_eq!(
+            rbma.without_wall_clock(),
+            rbma_unbatched.without_wall_clock(),
+            "R-BMA batched vs per-request"
+        );
         for (batched_report, algorithm) in [
             (&bma, AlgorithmKind::Bma),
             (&oblivious, AlgorithmKind::Oblivious),
         ] {
             let unbatched = run_streamed(&spec, &algorithm, 1);
-            assert_reports_equal(
-                batched_report,
-                &unbatched,
-                &format!("{}: batched vs per-request", algorithm.label()),
+            assert_eq!(
+                batched_report.without_wall_clock(),
+                unbatched.without_wall_clock(),
+                "{}: batched vs per-request",
+                algorithm.label()
             );
         }
         let fast = throughput(&rbma);
@@ -594,7 +557,11 @@ pub fn scaling_sweep(lens: &[usize], threads: usize, shard: ShardSpec) -> (Simpl
         let oblivious = run_adv(&AlgorithmKind::Oblivious, batched);
         let rbma_unbatched = run_adv(&rbma_kind, 1);
         rbma_requests += rbma.total.requests * 2;
-        assert_reports_equal(&rbma, &rbma_unbatched, &format!("worst-case {name}"));
+        assert_eq!(
+            rbma.without_wall_clock(),
+            rbma_unbatched.without_wall_clock(),
+            "worst-case {name}"
+        );
         let fast = throughput(&rbma);
         let slow = throughput(&rbma_unbatched);
         rows.push((
@@ -634,24 +601,6 @@ pub fn scaling_sweep(lens: &[usize], threads: usize, shard: ShardSpec) -> (Simpl
         statuses: Vec::new(),
     };
     (table, specials_share)
-}
-
-/// Asserts two reports are identical in every deterministic field (all
-/// costs, counts, and checkpoints; wall-clock excluded).
-fn assert_reports_equal(a: &RunReport, b: &RunReport, ctx: &str) {
-    assert_eq!(a.total.requests, b.total.requests, "{ctx}");
-    assert_eq!(a.total.routing_cost, b.total.routing_cost, "{ctx}");
-    assert_eq!(a.total.reconfig_cost, b.total.reconfig_cost, "{ctx}");
-    assert_eq!(a.total.reconfigurations, b.total.reconfigurations, "{ctx}");
-    assert_eq!(a.total.matched_requests, b.total.matched_requests, "{ctx}");
-    assert_eq!(a.checkpoints.len(), b.checkpoints.len(), "{ctx}");
-    for (x, y) in a.checkpoints.iter().zip(&b.checkpoints) {
-        assert_eq!(x.requests, y.requests, "{ctx}");
-        assert_eq!(x.routing_cost, y.routing_cost, "{ctx}");
-        assert_eq!(x.reconfig_cost, y.reconfig_cost, "{ctx}");
-        assert_eq!(x.reconfigurations, y.reconfigurations, "{ctx}");
-        assert_eq!(x.matched_requests, y.matched_requests, "{ctx}");
-    }
 }
 
 /// The `sweep` target: wall-clock scaling of the work-stealing
@@ -729,10 +678,10 @@ pub fn sweep_scaling(scale: f64, shard: ShardSpec) -> SimpleTable {
         let reports = run_jobs(&dm, &jobs, workers);
         let secs = start.elapsed().as_secs_f64();
         for (k, (got, want)) in reports.iter().zip(reference).enumerate() {
-            assert_reports_equal(
-                got,
-                want,
-                &format!("work-stealing vs sequential, job {k} ({workers} workers)"),
+            assert_eq!(
+                got.without_wall_clock(),
+                want.without_wall_clock(),
+                "work-stealing vs sequential, job {k} ({workers} workers)"
             );
         }
         let ideal = workers.min(cores) as f64;
@@ -838,7 +787,7 @@ mod tests {
 
     #[test]
     fn panel_a_has_expected_legends_and_order() {
-        let series = run_panel(&tiny_spec(), Panel::RoutingCost, 4);
+        let [series, _, _] = figure_pass(&tiny_spec(), 4);
         let labels: Vec<&str> = series.iter().map(|s| s.label.as_str()).collect();
         assert_eq!(
             labels,
@@ -865,7 +814,7 @@ mod tests {
 
     #[test]
     fn larger_b_does_not_hurt_rbma() {
-        let series = run_panel(&tiny_spec(), Panel::RoutingCost, 4);
+        let [series, _, _] = figure_pass(&tiny_spec(), 4);
         let last = series[0].x.len() - 1;
         let rbma_b2 = series[0].y_mean[last];
         let rbma_b4 = series[1].y_mean[last];
@@ -877,7 +826,7 @@ mod tests {
 
     #[test]
     fn panel_c_includes_so_bma() {
-        let series = run_panel(&tiny_spec(), Panel::BestOf, 4);
+        let [_, _, series] = figure_pass(&tiny_spec(), 4);
         assert_eq!(series.len(), 3);
         assert!(series[2].label.starts_with("SO-BMA"));
         // SO-BMA routing cost is monotone in the prefix.
@@ -964,7 +913,7 @@ mod tests {
     fn scaling_sweep_runs_streamed() {
         let corpus = dcn_adversary::committed_entries().len();
         assert!(corpus >= 3, "committed corpus should seed the panel");
-        let (t, specials_share) = scaling_sweep(&[2_000, 4_000], 1, ShardSpec::full());
+        let (t, specials_share) = scaling_sweep(&[2_000, 4_000], ShardSpec::full());
         assert_eq!(t.rows.len(), 2 + corpus);
         assert_eq!(t.columns.len(), 7);
         // The footer share is a real measurement (the standard point sits
@@ -1016,9 +965,9 @@ mod tests {
         // per-row seeds: the union of the cost columns equals the unsharded
         // run's (timing columns are wall-clock and excluded).
         let lens = [1_500usize, 2_500, 3_500];
-        let full = scaling_sweep(&lens, 1, ShardSpec::full()).0;
-        let a = scaling_sweep(&lens, 1, ShardSpec::new(0, 2)).0;
-        let b = scaling_sweep(&lens, 1, ShardSpec::new(1, 2)).0;
+        let full = scaling_sweep(&lens, ShardSpec::full()).0;
+        let a = scaling_sweep(&lens, ShardSpec::new(0, 2)).0;
+        let b = scaling_sweep(&lens, ShardSpec::new(1, 2)).0;
         let total = full.rows.len();
         assert_eq!(a.rows.len(), total.div_ceil(2));
         assert_eq!(b.rows.len(), total / 2);

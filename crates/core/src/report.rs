@@ -61,7 +61,11 @@ impl Checkpoint {
 }
 
 /// Full result of one simulation run.
-#[derive(Clone, Debug, Serialize)]
+///
+/// Equality compares every field, wall clock included; compare
+/// [`RunReport::without_wall_clock`] copies to ask whether two runs are
+/// the same run.
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct RunReport {
     /// Algorithm label (figure legend entry).
     pub algorithm: String,
@@ -80,6 +84,17 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// This report with every wall-clock field (each checkpoint's and the
+    /// total's `elapsed_secs`) zeroed: what is left is a pure function of
+    /// the run's seeds and inputs.
+    pub fn without_wall_clock(&self) -> Self {
+        let mut r = self.clone();
+        for c in r.checkpoints.iter_mut().chain([&mut r.total]) {
+            c.elapsed_secs = 0.0;
+        }
+        r
+    }
+
     /// Serializes to a compact JSON string.
     pub fn to_json(&self) -> String {
         dcn_util::json::to_json_string(self).expect("report serialization cannot fail")
@@ -155,18 +170,27 @@ impl AveragedSeries {
     ) -> Self {
         assert!(!reports.is_empty(), "need at least one report");
         let x: Vec<u64> = reports[0].checkpoints.iter().map(|c| c.requests).collect();
-        for r in reports {
-            let rx: Vec<u64> = r.checkpoints.iter().map(|c| c.requests).collect();
-            assert_eq!(rx, x, "checkpoint grids differ between runs");
-        }
-        let mut y_mean = Vec::with_capacity(x.len());
-        let mut y_std = Vec::with_capacity(x.len());
-        for i in 0..x.len() {
-            let samples: Vec<f64> = reports.iter().map(|r| metric(&r.checkpoints[i])).collect();
-            let s = dcn_util::summarize(&samples);
-            y_mean.push(s.mean);
-            y_std.push(s.stddev);
-        }
+        let runs: Vec<Vec<f64>> = reports
+            .iter()
+            .map(|r| {
+                let rx: Vec<u64> = r.checkpoints.iter().map(|c| c.requests).collect();
+                assert_eq!(rx, x, "checkpoint grids differ between runs");
+                r.checkpoints.iter().map(&metric).collect()
+            })
+            .collect();
+        Self::from_runs(label, x, &runs)
+    }
+
+    /// Aggregates runs given as y values: `runs[r][i]` is run `r`'s y at
+    /// `x[i]`.
+    pub fn from_runs(label: impl Into<String>, x: Vec<u64>, runs: &[Vec<f64>]) -> Self {
+        let (y_mean, y_std) = (0..x.len())
+            .map(|i| {
+                let samples: Vec<f64> = runs.iter().map(|r| r[i]).collect();
+                let s = dcn_util::summarize(&samples);
+                (s.mean, s.stddev)
+            })
+            .unzip();
         Self {
             label: label.into(),
             x,

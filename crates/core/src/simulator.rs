@@ -470,23 +470,6 @@ mod tests {
         assert_eq!(full.total.requests, 100);
     }
 
-    /// Reports must be identical up to wall-clock time.
-    fn assert_reports_identical(a: &RunReport, b: &RunReport, ctx: &str) {
-        assert_eq!(a.total.requests, b.total.requests, "{ctx}");
-        assert_eq!(a.total.routing_cost, b.total.routing_cost, "{ctx}");
-        assert_eq!(a.total.reconfig_cost, b.total.reconfig_cost, "{ctx}");
-        assert_eq!(a.total.reconfigurations, b.total.reconfigurations, "{ctx}");
-        assert_eq!(a.total.matched_requests, b.total.matched_requests, "{ctx}");
-        assert_eq!(a.checkpoints.len(), b.checkpoints.len(), "{ctx}");
-        for (x, y) in a.checkpoints.iter().zip(&b.checkpoints) {
-            assert_eq!(x.requests, y.requests, "{ctx}");
-            assert_eq!(x.routing_cost, y.routing_cost, "{ctx}");
-            assert_eq!(x.reconfig_cost, y.reconfig_cost, "{ctx}");
-            assert_eq!(x.reconfigurations, y.reconfigurations, "{ctx}");
-            assert_eq!(x.matched_requests, y.matched_requests, "{ctx}");
-        }
-    }
-
     #[test]
     fn batched_run_equals_unbatched_run_for_every_scheduler() {
         // The hard batching contract: any batch size produces the identical
@@ -531,15 +514,19 @@ mod tests {
                 // Eager (zero-copy subslice) path.
                 let mut s = make();
                 let eager = run(s.as_mut(), &dm, 10, &trace.requests, &config);
-                assert_reports_identical(&eager, &unbatched, &format!("{name} b={batch_size}"));
+                assert_eq!(
+                    eager.without_wall_clock(),
+                    unbatched.without_wall_clock(),
+                    "{name} b={batch_size}"
+                );
                 // Streamed (fill-into-buffer) path.
                 source.reset();
                 let mut s = make();
                 let streamed = run(s.as_mut(), &dm, 10, &mut source, &config);
-                assert_reports_identical(
-                    &streamed,
-                    &unbatched,
-                    &format!("{name} streamed b={batch_size}"),
+                assert_eq!(
+                    streamed.without_wall_clock(),
+                    unbatched.without_wall_clock(),
+                    "{name} streamed b={batch_size}"
                 );
             }
         }
@@ -573,7 +560,11 @@ mod tests {
             &mut source,
             &config.clone().with_batch_size(1),
         );
-        assert_reports_identical(&batched, &unbatched, "checkpoint mid-batch");
+        assert_eq!(
+            batched.without_wall_clock(),
+            unbatched.without_wall_clock(),
+            "checkpoint mid-batch"
+        );
     }
 
     #[test]

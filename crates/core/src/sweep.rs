@@ -827,17 +827,7 @@ mod tests {
         // No armed failpoints, no journal: supervised execution is the
         // plain executor plus a catch_unwind shell, and must produce the
         // identical reports in the identical order at every thread count.
-        // Wall-clock is the one legitimately varying field; zero it before
-        // the byte comparison (same canonicalization as the telemetry
-        // identity proptest).
-        let canonical = |r: &RunReport| {
-            let mut r = r.clone();
-            r.total.elapsed_secs = 0.0;
-            for c in &mut r.checkpoints {
-                c.elapsed_secs = 0.0;
-            }
-            r.to_json()
-        };
+        // Wall-clock is the one legitimately varying field.
         let dm = setup();
         let js = jobs();
         let plain = run_jobs(&dm, &js, 2);
@@ -848,7 +838,11 @@ mod tests {
                 let got = o
                     .report()
                     .unwrap_or_else(|| panic!("job {i} unexpectedly quarantined"));
-                assert_eq!(canonical(got), canonical(want), "threads={threads} job={i}");
+                assert_eq!(
+                    got.without_wall_clock(),
+                    want.without_wall_clock(),
+                    "threads={threads} job={i}"
+                );
             }
         }
     }

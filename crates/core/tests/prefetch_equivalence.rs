@@ -13,7 +13,7 @@ use dcn_core::algorithms::rbma::{Rbma, RemovalMode};
 use dcn_core::algorithms::AlgorithmKind;
 use dcn_core::prefetch::{with_prefetch, BLOCK, BLOCKS};
 use dcn_core::sweep::{run_jobs_sequential, run_jobs_supervised, with_threads, Job};
-use dcn_core::{run, RunReport, SimConfig};
+use dcn_core::{run, SimConfig};
 use dcn_demand::{DemandMatrix, MatrixSequence};
 use dcn_telemetry::Telemetry;
 use dcn_topology::{builders, DistanceMatrix, Pair};
@@ -40,15 +40,6 @@ fn distances() -> Arc<DistanceMatrix> {
 }
 
 /// The report without its wall-clock fields, as JSON.
-fn canonical(r: &RunReport) -> String {
-    let mut r = r.clone();
-    r.total.elapsed_secs = 0.0;
-    for c in &mut r.checkpoints {
-        c.elapsed_secs = 0.0;
-    }
-    r.to_json()
-}
-
 /// The `serve.chunks` and `serve.requests` counters of a snapshot.
 fn serve_counters(sink: &Telemetry) -> (u64, u64) {
     let snap = sink.drain();
@@ -165,7 +156,12 @@ fn every_trace_kind_serves_identically_with_and_without_the_helper() {
         "serve.chunks, serve.requests"
     );
     for (job, (a, b)) in jobs.iter().zip(inline.iter().zip(&helped)) {
-        assert_eq!(canonical(a), canonical(b), "{}", job.trace.name());
+        assert_eq!(
+            a.without_wall_clock(),
+            b.without_wall_clock(),
+            "{}",
+            job.trace.name()
+        );
     }
 }
 
@@ -202,7 +198,7 @@ fn every_batch_size_and_checkpoint_grid_serves_identically() {
                     run(&mut rbma, &dm, 10, &mut source, &config(&sink))
                 };
                 assert_eq!(source.remaining(), 0, "the whole stream was read");
-                (canonical(&report), serve_counters(&sink))
+                (report.without_wall_clock(), serve_counters(&sink))
             };
             let ctx = format!("batch {batch_size}, checkpoints {checkpoints:?}");
             assert_eq!(serve(true), serve(false), "{ctx}");

@@ -47,21 +47,15 @@ fn jobs(n: usize) -> Vec<Job> {
         .collect()
 }
 
-fn canonical(r: &RunReport) -> String {
-    let mut r = r.clone();
-    r.total.elapsed_secs = 0.0;
-    for c in &mut r.checkpoints {
-        c.elapsed_secs = 0.0;
-    }
-    r.to_json()
-}
-
 #[test]
 fn injected_panic_is_retried_to_success_and_counted() {
     let _g = locked();
     let dm = setup();
     let js = jobs(4);
-    let clean: Vec<String> = run_jobs(&dm, &js, 1).iter().map(canonical).collect();
+    let clean: Vec<RunReport> = run_jobs(&dm, &js, 1)
+        .iter()
+        .map(RunReport::without_wall_clock)
+        .collect();
 
     // Telemetry coverage for the ISSUE's sweep.* counters rides along:
     // install an enabled sink, run with one injected panic, drain.
@@ -81,7 +75,11 @@ fn injected_panic_is_retried_to_success_and_counted() {
         let got = o
             .report()
             .unwrap_or_else(|| panic!("job {i} quarantined despite retry budget"));
-        assert_eq!(&canonical(got), want, "job {i} must match the clean run");
+        assert_eq!(
+            &got.without_wall_clock(),
+            want,
+            "job {i} must match the clean run"
+        );
     }
     let snap = sink.drain();
     assert_eq!(snap.counters.get("sweep.panics_caught"), Some(&1));
@@ -155,7 +153,10 @@ fn kill_then_resume_reproduces_the_fault_free_run() {
     let _g = locked();
     let dm = setup();
     let js = jobs(6);
-    let clean: Vec<String> = run_jobs(&dm, &js, 1).iter().map(canonical).collect();
+    let clean: Vec<RunReport> = run_jobs(&dm, &js, 1)
+        .iter()
+        .map(RunReport::without_wall_clock)
+        .collect();
 
     let path =
         std::env::temp_dir().join(format!("dcn_supervised_kill_{}.jsonl", std::process::id()));
@@ -184,7 +185,7 @@ fn kill_then_resume_reproduces_the_fault_free_run() {
     for (i, (o, want)) in outcomes.iter().zip(&clean).enumerate() {
         let got = o.report().unwrap_or_else(|| panic!("job {i} missing"));
         assert_eq!(
-            &canonical(got),
+            &got.without_wall_clock(),
             want,
             "resumed job {i} must equal the fault-free run"
         );
@@ -200,7 +201,10 @@ fn delay_failpoint_slows_but_does_not_change_results() {
     let _g = locked();
     let dm = setup();
     let js = jobs(2);
-    let clean: Vec<String> = run_jobs(&dm, &js, 1).iter().map(canonical).collect();
+    let clean: Vec<RunReport> = run_jobs(&dm, &js, 1)
+        .iter()
+        .map(RunReport::without_wall_clock)
+        .collect();
 
     failpoint::arm(
         "sim.chunk",
@@ -211,6 +215,6 @@ fn delay_failpoint_slows_but_does_not_change_results() {
     failpoint::disarm("sim.chunk");
 
     for (i, (o, want)) in outcomes.iter().zip(&clean).enumerate() {
-        assert_eq!(&canonical(o.report().unwrap()), want, "job {i}");
+        assert_eq!(&o.report().unwrap().without_wall_clock(), want, "job {i}");
     }
 }

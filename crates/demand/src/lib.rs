@@ -14,8 +14,8 @@
 //! vocabulary to the rest of the workspace:
 //!
 //! * [`matrix`] — [`DemandMatrix`]: dense upper-triangle pair weights with
-//!   normalization, skew/entropy statistics, top-k extraction, CSV/JSON
-//!   I/O, empirical estimation from observed requests, and constructors for
+//!   normalization, skew/entropy statistics, top-k extraction, JSON
+//!   export, empirical estimation from observed requests, and constructors for
 //!   the standard families (uniform, Zipf-pair, clustered, hotspot,
 //!   permutation, and the paper's ProjecToR-style [`microsoft`]
 //!   matrix — [`microsoft_pair_weights`] preserves the historical

@@ -8,7 +8,7 @@
 //! This type makes the matrix itself the unit of composition: constructors
 //! for the standard families, normalization and skew/entropy statistics,
 //! top-k extraction for demand-aware topology building, empirical
-//! estimation from observed requests, and CSV/JSON persistence.
+//! estimation from observed requests, and JSON export.
 //!
 //! Storage is the dense upper triangle over unordered rack pairs: entry
 //! `{i, j}` (with `i < j`) lives at a canonical index, so lookups are O(1)
@@ -20,8 +20,6 @@ use dcn_util::zipf_weights;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use serde::Serialize;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::path::Path;
 
 /// Parameters of the synthetic ProjecToR-style traffic matrix (the paper's
 /// Fig. 4 stand-in): heavy-tailed pair weights as a product of Zipf rack
@@ -434,110 +432,6 @@ impl DemandMatrix {
     pub fn to_json(&self) -> String {
         dcn_util::json::to_json_string(self).expect("demand matrix serialization cannot fail")
     }
-
-    /// Writes the positive entries as CSV (`src,dst,weight`).
-    pub fn write_csv<W: Write>(&self, out: W) -> std::io::Result<()> {
-        let mut w = BufWriter::new(out);
-        writeln!(w, "src,dst,weight")?;
-        for (pair, weight) in self.entries() {
-            writeln!(w, "{},{},{}", pair.lo(), pair.hi(), weight)?;
-        }
-        w.flush()
-    }
-
-    /// Reads a `src,dst,weight` CSV; `num_racks` is inferred as
-    /// `max endpoint + 1` unless `racks_hint` provides a larger value.
-    /// Duplicate pair lines accumulate. A line whose weight makes its cell
-    /// or the matrix total overflow `f64` is `InvalidData`, like a malformed
-    /// one: samplers need a finite total.
-    pub fn read_csv<R: Read>(
-        input: R,
-        name: &str,
-        racks_hint: Option<usize>,
-    ) -> std::io::Result<Self> {
-        let reader = BufReader::new(input);
-        let mut rows: Vec<(usize, u32, u32, f64)> = Vec::new();
-        let mut max_rack = 1u32;
-        for (lineno, line) in reader.lines().enumerate() {
-            let line = line?;
-            let line = line.trim();
-            if line.is_empty() || (lineno == 0 && line.eq_ignore_ascii_case("src,dst,weight")) {
-                continue;
-            }
-            let bad = || {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("malformed demand line {}: {line:?}", lineno + 1),
-                )
-            };
-            let mut parts = line.split(',');
-            let src: u32 = parts
-                .next()
-                .ok_or_else(bad)?
-                .trim()
-                .parse()
-                .map_err(|_| bad())?;
-            let dst: u32 = parts
-                .next()
-                .ok_or_else(bad)?
-                .trim()
-                .parse()
-                .map_err(|_| bad())?;
-            let weight: f64 = parts
-                .next()
-                .ok_or_else(bad)?
-                .trim()
-                .parse()
-                .map_err(|_| bad())?;
-            if src == dst || !weight.is_finite() || weight < 0.0 {
-                return Err(bad());
-            }
-            max_rack = max_rack.max(src).max(dst);
-            rows.push((lineno + 1, src, dst, weight));
-        }
-        let n = racks_hint.unwrap_or(0).max(max_rack as usize + 1);
-        let mut m = Self::new(n, name);
-        let overflow = |what: String| std::io::Error::new(std::io::ErrorKind::InvalidData, what);
-        let mut total = 0.0f64;
-        for &(lineno, src, dst, weight) in &rows {
-            let pair = Pair::new(src, dst);
-            if !(m.get(pair) + weight).is_finite() {
-                return Err(overflow(format!(
-                    "demand line {lineno}: the weight of pair {pair} overflows f64"
-                )));
-            }
-            total += weight;
-            if !total.is_finite() {
-                return Err(overflow(format!(
-                    "demand line {lineno}: the matrix total overflows f64"
-                )));
-            }
-            m.add(pair, weight);
-        }
-        // Summed in pair order, as samplers sum it, a total just under the
-        // limit can still round up past it.
-        if !m.total().is_finite() {
-            let last = rows.last().map_or(0, |r| r.0);
-            return Err(overflow(format!(
-                "demand line {last}: the matrix total overflows f64 when summed in pair order"
-            )));
-        }
-        Ok(m)
-    }
-
-    /// Convenience: write to a file path.
-    pub fn save_csv(&self, path: &Path) -> std::io::Result<()> {
-        self.write_csv(std::fs::File::create(path)?)
-    }
-
-    /// Convenience: read from a file path (named after the path).
-    pub fn load_csv(path: &Path, racks_hint: Option<usize>) -> std::io::Result<Self> {
-        Self::read_csv(
-            std::fs::File::open(path)?,
-            &path.display().to_string(),
-            racks_hint,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -690,72 +584,6 @@ mod tests {
             assert_eq!(m.get(pair), w);
         }
         assert_eq!(pairs.len(), m.num_pairs());
-    }
-
-    #[test]
-    fn csv_roundtrip() {
-        let m = DemandMatrix::zipf_pairs(9, 1.1, 5);
-        let mut buf = Vec::new();
-        m.write_csv(&mut buf).unwrap();
-        let back = DemandMatrix::read_csv(buf.as_slice(), "back", Some(9)).unwrap();
-        assert_eq!(back.num_racks(), 9);
-        for (pair, w) in m.entries() {
-            assert!((back.get(pair) - w).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn csv_rejects_malformed() {
-        assert!(DemandMatrix::read_csv("src,dst,weight\n0,0,1.0\n".as_bytes(), "t", None).is_err());
-        assert!(DemandMatrix::read_csv("src,dst,weight\n0,1\n".as_bytes(), "t", None).is_err());
-        assert!(
-            DemandMatrix::read_csv("src,dst,weight\n0,1,-2\n".as_bytes(), "t", None).is_err(),
-            "negative weight"
-        );
-    }
-
-    #[test]
-    fn csv_rejects_a_cell_that_overflows() {
-        // Each weight is finite; their sum in one cell is not.
-        let err = DemandMatrix::read_csv("0,1,1e308\n0,1,1e308\n".as_bytes(), "t", None)
-            .expect_err("the cell overflows");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(
-            err.to_string().contains("line 2") && err.to_string().contains("pair"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn csv_rejects_a_total_that_overflows() {
-        // The matrix this used to load held a total of inf, and a trace
-        // sampled from it drew zero-weight pairs two times in three.
-        let text = "src,dst,weight\n0,1,1e308\n2,3,1e308\n";
-        let err = DemandMatrix::read_csv(text.as_bytes(), "t", None).expect_err("total overflows");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(
-            err.to_string().contains("line 3") && err.to_string().contains("total"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn csv_rejects_a_total_that_overflows_in_pair_order() {
-        // In file order, 2^1023 + (2^1023 - 2^971) is exactly f64::MAX and
-        // the last weight rounds away. In pair order, the last weight first
-        // rounds 2^1023 - 2^971 up by 2^970, and adding 2^1023 then lands
-        // on the overflow threshold, which rounds to inf.
-        let (x, y, z) = (
-            2f64.powi(1023),
-            2f64.powi(1023) - 2f64.powi(971),
-            3.0 * 2f64.powi(968),
-        );
-        assert_eq!(x + y + z, f64::MAX);
-        assert_eq!(y + z + x, f64::INFINITY);
-        let text = format!("0,3,{x}\n0,1,{y}\n0,2,{z}\n");
-        let err = DemandMatrix::read_csv(text.as_bytes(), "t", None).expect_err("overflows");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("pair order"), "{err}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! shortest-path length between the racks' ToR switches (§3.1: “The cost of
 //! each request is calculated as the shortest path length between source and
 //! destination node”). The matrix is computed once per experiment with one
-//! BFS per rack over the switch graph; sources are fanned out over threads.
+//! BFS per rack over the switch graph.
 
 use crate::builders::Network;
 use crate::graph::NodeId;
@@ -19,75 +19,25 @@ pub struct DistanceMatrix {
     max: u16,
 }
 
-/// Below this rack count the parallel path falls back to one thread: a
-/// full BFS sweep at this scale costs less than spawning workers, so the
-/// parallel entry point must never lose to [`DistanceMatrix::between_racks`]
-/// on paper-sized instances (≤ 100 racks). Verified by the
-/// `topology/apsp_*` benches in `dcn-bench`'s `micro_substrates`.
-const PARALLEL_MIN_RACKS: usize = 128;
-
 impl DistanceMatrix {
-    /// Computes rack-to-rack distances for `net` sequentially.
+    /// Computes rack-to-rack distances for `net`, one BFS per rack.
     ///
     /// Panics if some rack cannot reach another (the model requires a
     /// connected fixed network).
     pub fn between_racks(net: &Network) -> Self {
-        Self::build(net, 1)
-    }
-
-    /// Computes rack-to-rack distances using up to `threads` worker threads.
-    /// Each worker runs the BFS for a contiguous chunk of source racks.
-    /// Falls back to the sequential path below `PARALLEL_MIN_RACKS` (128)
-    /// sources — and always clamps to the machine's available parallelism —
-    /// so this is never slower than [`DistanceMatrix::between_racks`]
-    /// (thread spawns would be pure overhead in both cases).
-    pub fn between_racks_parallel(net: &Network, threads: usize) -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let threads = if net.racks.len() < PARALLEL_MIN_RACKS {
-            1
-        } else {
-            threads.clamp(1, cores)
-        };
-        Self::build(net, threads)
-    }
-
-    fn build(net: &Network, threads: usize) -> Self {
         let racks = &net.racks;
         let n = racks.len();
         let mut d = vec![0u16; n * n];
-        // Map switch node -> rack index for fast row extraction.
-        let mut rack_of = vec![usize::MAX; net.graph.num_nodes()];
-        for (i, &r) in racks.iter().enumerate() {
-            rack_of[r as usize] = i;
-        }
-
-        let fill_rows = |rows: &mut [u16], first_rack: usize, count: usize| {
-            let mut dist: Vec<u32> = Vec::new();
-            let mut queue: VecDeque<NodeId> = VecDeque::new();
-            for (k, row) in rows.chunks_exact_mut(n).enumerate().take(count) {
-                let i = first_rack + k;
-                net.graph.bfs_into(racks[i], &mut dist, &mut queue);
-                for (j, cell) in row.iter_mut().enumerate() {
-                    let dv = dist[racks[j] as usize];
-                    assert!(dv != u32::MAX, "fixed network must connect all racks");
-                    assert!(dv <= u16::MAX as u32, "distance overflow");
-                    *cell = dv as u16;
-                }
+        let mut dist: Vec<u32> = Vec::new();
+        let mut queue: VecDeque<NodeId> = VecDeque::new();
+        for (i, row) in d.chunks_exact_mut(n).enumerate() {
+            net.graph.bfs_into(racks[i], &mut dist, &mut queue);
+            for (j, cell) in row.iter_mut().enumerate() {
+                let dv = dist[racks[j] as usize];
+                assert!(dv != u32::MAX, "fixed network must connect all racks");
+                assert!(dv <= u16::MAX as u32, "distance overflow");
+                *cell = dv as u16;
             }
-        };
-
-        if threads <= 1 || n < 2 * threads {
-            fill_rows(&mut d, 0, n);
-        } else {
-            let rows_per = n.div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (t, chunk) in d.chunks_mut(rows_per * n).enumerate() {
-                    let fill = &fill_rows;
-                    scope.spawn(move || {
-                        fill(chunk, t * rows_per, chunk.len() / n);
-                    });
-                }
-            });
         }
 
         let max = d.iter().copied().max().unwrap_or(0);
@@ -205,26 +155,6 @@ mod tests {
                 assert_eq!(dm.dist(i as NodeId, j as NodeId), expected);
             }
         }
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let net = builders::fat_tree(8);
-        let seq = DistanceMatrix::between_racks(&net);
-        let par = DistanceMatrix::between_racks_parallel(&net, 4);
-        assert_eq!(seq.n, par.n);
-        assert_eq!(seq.d, par.d);
-        assert_eq!(seq.max_dist(), par.max_dist());
-    }
-
-    #[test]
-    fn parallel_matches_sequential_above_threshold() {
-        // 256 racks is above PARALLEL_MIN_RACKS, so this exercises the real
-        // multi-threaded chunked path.
-        let net = builders::leaf_spine(2 * PARALLEL_MIN_RACKS, 4);
-        let seq = DistanceMatrix::between_racks(&net);
-        let par = DistanceMatrix::between_racks_parallel(&net, 4);
-        assert_eq!(seq.d, par.d);
     }
 
     #[test]

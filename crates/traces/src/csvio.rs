@@ -1,7 +1,9 @@
 //! CSV persistence for traces, so real-world traces (e.g. the actual
 //! Facebook dataset, for users who have access) can be fed to the simulator.
 //!
-//! Format: a header line `src,dst` followed by one request per line.
+//! Format: an optional header line `src,dst` followed by one request per
+//! line, exactly two fields each. Any other line is `InvalidData` naming
+//! its line number, so a `src,dst,bytes` file is rejected, not truncated.
 
 use crate::trace::Trace;
 use dcn_topology::Pair;
@@ -43,7 +45,7 @@ pub fn read_trace<R: Read>(
         };
         let src = parse(parts.next())?;
         let dst = parse(parts.next())?;
-        if src == dst {
+        if src == dst || parts.next().is_some() {
             return Err(bad_data(lineno, line));
         }
         max_rack = max_rack.max(src).max(dst);
@@ -105,6 +107,10 @@ mod tests {
             read_trace("src,dst\n3,3\n".as_bytes(), "t", None).is_err(),
             "self-loop"
         );
+        // A third field (say, a byte count) is not silently dropped.
+        let err = read_trace("0,1\n0,1,7\n".as_bytes(), "t", None).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("line 2"), "{err}");
     }
 
     #[test]

@@ -19,7 +19,7 @@ fn main() {
     let requests: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(100_000);
 
     let net = builders::fat_tree_with_racks(racks);
-    let dm = Arc::new(DistanceMatrix::between_racks_parallel(&net, 4));
+    let dm = Arc::new(DistanceMatrix::between_racks(&net));
     // The workload is a *description*: every online job below streams its
     // own copy in-place (O(1) memory); only offline SO-BMA materializes it.
     let spec = TraceSpec::Facebook {

@@ -27,7 +27,7 @@ fn main() {
     let (b, alpha) = (6usize, 10u64);
 
     let net = builders::fat_tree_with_racks(racks);
-    let dm = Arc::new(DistanceMatrix::between_racks_parallel(&net, 4));
+    let dm = Arc::new(DistanceMatrix::between_racks(&net));
 
     // The forecast the static design is built on, and the matrix the served
     // traffic drifts toward.

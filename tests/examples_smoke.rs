@@ -54,7 +54,7 @@ fn quickstart_core_path() {
 fn datacenter_comparison_core_path() {
     let racks = 20;
     let net = builders::fat_tree_with_racks(racks);
-    let dm = Arc::new(DistanceMatrix::between_racks_parallel(&net, 2));
+    let dm = Arc::new(DistanceMatrix::between_racks(&net));
     let spec = TraceSpec::Facebook {
         cluster: FacebookCluster::Database,
         num_racks: racks,
