@@ -7,11 +7,17 @@
 //! against executor overhead rather than demonstrate speedup; the
 //! `repro_figures sweep` target publishes the multi-core scaling table.
 //!
+//! `sequential_job_zipf_a100` times one streamed 1M-request job (Zipf
+//! s = 1.2, R-BMA at α = 100, where serving is cheap enough for the
+//! handoff to show) through `run_jobs_sequential` at width 2, where a
+//! helper thread generates the requests (`dcn_core::prefetch`), and at
+//! width 1, where the serving thread generates them itself.
+//!
 //! CI gates this bench against the shared criterion baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dcn_core::algorithms::AlgorithmKind;
-use dcn_core::sweep::{run_jobs, run_jobs_sequential, Job};
+use dcn_core::sweep::{run_jobs, run_jobs_sequential, with_threads, Job};
 use dcn_topology::{builders, DistanceMatrix};
 use dcn_traces::TraceSpec;
 use dcn_util::rngx::derive_seed;
@@ -81,5 +87,41 @@ fn sweep_executor_skewed(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, sweep_executor_skewed);
+/// One streamed Zipf α = 100 R-BMA job, with and without the generating
+/// helper.
+fn sequential_job_handoff(c: &mut Criterion) {
+    let dm = distances();
+    let len = 1_000_000;
+    let job = Job {
+        algorithm: AlgorithmKind::Rbma { lazy: true },
+        b: DEGREE,
+        alpha: 100,
+        seed: derive_seed(0x5E2, 0),
+        checkpoints: vec![],
+        trace: TraceSpec::Zipf {
+            num_racks: RACKS,
+            len,
+            exponent: 1.2,
+            seed: derive_seed(0x5E3, 0),
+        },
+    };
+    let mut group = c.benchmark_group("sequential_job_zipf_a100");
+    group
+        .sample_size(10)
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(3))
+        .throughput(Throughput::Elements(len as u64));
+    for width in [2usize, 1] {
+        group.bench_with_input(BenchmarkId::new("width", width), &width, |bench, &width| {
+            bench.iter(|| {
+                black_box(with_threads(width, || {
+                    run_jobs_sequential(&dm, std::slice::from_ref(&job))
+                }))
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, sweep_executor_skewed, sequential_job_handoff);
 criterion_main!(benches);

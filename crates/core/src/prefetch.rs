@@ -3,22 +3,38 @@
 //!
 //! Inline, a streamed job generates each chunk on the serving thread,
 //! between `serve_batch` calls. [`with_prefetch`] instead hands the job's
-//! [`RequestSource`] to one scoped helper thread, which fills blocks of
-//! [`BLOCK`] requests into a ring of [`BLOCKS`] blocks that the serving
-//! thread allocates up front. The serving thread reads the stream through
-//! [`Prefetched`], a [`RequestStream`] that copies each chunk out of the
-//! ring into the simulator's own batch buffer. So:
+//! [`RequestSource`] to one scoped helper thread, which fills blocks of up
+//! to [`BLOCK`] requests into a ring of [`BLOCKS`] blocks (256 KiB of
+//! packed pairs) that the serving thread allocates up front. The serving
+//! thread reads the stream through [`Prefetched`], a [`RequestStream`]
+//! that serves each chunk **in place**: a chunk that lies inside the block
+//! in hand is a slice of that block, and only a chunk that straddles the
+//! end of a block is copied into the simulator's own batch buffer, at most
+//! once per block. The serving thread hands its spent block back and takes
+//! the next one in a single lock acquisition. So:
 //!
 //! * chunk cuts, reports, telemetry counters and the stream are identical
 //!   to serving the source inline. The source emits the same requests in
 //!   the same order, only through other `fill` sizes, which
 //!   [`RequestSource::fill`] promises cannot change a draw;
 //! * serving stays on one thread, and the serve stopwatch (panel (b) of
-//!   Figs. 1–4) still times `serve_batch` only;
+//!   Figs. 1–4) still times `serve_batch` only. Since an in-place chunk is
+//!   the helper's block, `serve_batch` reads requests the other core
+//!   wrote, and the stopwatch covers those reads;
 //! * the source is a **baton**: whichever thread holds it fills the next
 //!   requests. When the ring is empty and the helper is not filling, the
 //!   serving thread fills its own chunk instead of waiting, so a helper
 //!   that is descheduled, or shares the serving thread's CPU, costs little.
+//!
+//! The helper fills a block in `fill` calls of [`FILL`] requests. When the
+//! serving thread has to wait for a block, it asks the helper to hurry,
+//! and the helper hands its block over as far as it is filled: a job's
+//! first chunk waits for one fill, not for a whole block.
+//!
+//! The ring is 256 KiB resident for the length of a job. The helper
+//! thread costs about as much again: spawning and joining one scoped
+//! thread with the default stack raised the resident set by 0.07–0.26 MiB
+//! in a probe on a 2-core VM.
 //!
 //! Waking a sleeping thread is slow on a virtual machine (tens of µs for
 //! the waker, more for the woken), so neither side sleeps while the other
@@ -29,27 +45,30 @@
 //!
 //! A panic on either side fails the job as a panic. The helper catches its
 //! own, and the serving thread resumes it with the original payload at its
-//! next read; a panic on the serving side closes the ring, so the helper
-//! exits. The helper is a scoped thread, joined on every path.
+//! next handoff; a panic on the serving side closes the ring, so the
+//! helper exits. The helper is a scoped thread, joined on every path.
 
-use crate::simulator::{RequestChunks, RequestStream};
+use crate::simulator::{RequestChunks, RequestStream, DEFAULT_BATCH_SIZE};
 use dcn_topology::Pair;
 use dcn_traces::source::RequestSource;
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Requests per ring block.
-pub const BLOCK: usize = 1024;
+pub const BLOCK: usize = 8192;
 
-/// Blocks in the ring (64 KiB of packed pairs).
-pub const BLOCKS: usize = 8;
+/// Blocks in the ring (256 KiB of packed pairs).
+pub const BLOCKS: usize = 4;
+
+/// Requests per helper `fill` call: the simulator's default batch size.
+pub const FILL: usize = DEFAULT_BATCH_SIZE;
 
 /// Free blocks that wake a parked helper.
-const WAKE_AT: usize = 4;
+const WAKE_AT: usize = 2;
 
 /// How long a waiting side polls for the other side's next change before
 /// it parks.
@@ -57,6 +76,9 @@ const POLL: Duration = Duration::from_micros(200);
 
 type Source<'a> = &'a mut (dyn RequestSource + Send);
 
+/// A ring block: `requests[..len]` is filled. The default block holds
+/// nothing and is not the ring's: it is the serving thread's empty hand.
+#[derive(Default)]
 struct Block {
     requests: Box<[Pair]>,
     len: usize,
@@ -91,11 +113,41 @@ struct Ring<'a> {
     /// Counts changes to `state`, so a waiting side can poll without
     /// taking the lock. Bumped under the lock.
     changes: AtomicU64,
+    /// Set while the serving thread waits for the block the helper is
+    /// filling (or the ring closes): the helper hands the block over after
+    /// its current `fill` call. Cleared when the helper hands a block over.
+    /// A hint that publishes no data (the block itself passes under the
+    /// lock), so it is read and written `Relaxed`.
+    hurry: AtomicBool,
     helper: Condvar,
     server: Condvar,
 }
 
 impl<'a> Ring<'a> {
+    /// A ring of [`BLOCKS`] free blocks, with `source` as the free baton.
+    fn new(source: Source<'a>) -> Self {
+        Ring {
+            state: Mutex::new(State {
+                source: Some(source),
+                filled: VecDeque::with_capacity(BLOCKS),
+                free: (0..BLOCKS)
+                    .map(|_| Block {
+                        requests: vec![Pair::new(0, 1); BLOCK].into_boxed_slice(),
+                        len: 0,
+                    })
+                    .collect(),
+                helper_parked: false,
+                server_parked: false,
+                closed: false,
+                panic: None,
+            }),
+            changes: AtomicU64::new(0),
+            hurry: AtomicBool::new(false),
+            helper: Condvar::new(),
+            server: Condvar::new(),
+        }
+    }
+
     /// Locks the state. No code panics while holding the lock, so a
     /// poisoned lock still holds consistent state.
     fn lock(&self) -> MutexGuard<'_, State<'a>> {
@@ -162,53 +214,75 @@ impl<'a> Ring<'a> {
                 unreachable!("helper_may_fill checked the baton and a free block");
             };
             drop(st);
-            block.len = source.fill(&mut block.requests);
-            let exhausted = block.len < block.requests.len() || source.remaining() == 0;
+            let exhausted = self.fill_block(source, &mut block);
             st = self.lock();
             st.source = Some(source);
             st.filled.push_back(block);
+            self.hurry.store(false, Ordering::Relaxed);
             self.changed_for_server(&mut st);
             if exhausted {
                 return;
             }
         }
     }
-}
 
-/// What the serving thread gets when its block in hand runs out.
-enum Next<'a> {
-    Block(Block),
-    Baton(Source<'a>),
+    /// Fills `block` in `fill` calls of [`FILL`] requests, up to its end or
+    /// the first call after the serving thread asked to hurry. Returns
+    /// whether the stream is exhausted.
+    fn fill_block(&self, source: &mut (dyn RequestSource + Send), block: &mut Block) -> bool {
+        block.len = 0;
+        loop {
+            let end = (block.len + FILL).min(block.requests.len());
+            let n = source.fill(&mut block.requests[block.len..end]);
+            block.len += n;
+            if block.len < end || source.remaining() == 0 {
+                return true;
+            }
+            if block.len == block.requests.len() || self.hurry.load(Ordering::Relaxed) {
+                return false;
+            }
+        }
+    }
 }
 
 /// The serving thread's side of the ring: a [`RequestStream`] (and its own
 /// [`RequestChunks`] cursor) over the source handed to [`with_prefetch`].
 pub struct Prefetched<'r, 'a> {
     ring: &'r Ring<'a>,
-    /// The block being copied out, and how far.
-    current: Option<Block>,
+    /// The block chunks are served from, and how far.
+    hand: Block,
     offset: usize,
     remaining: usize,
 }
 
 impl<'a> Prefetched<'_, 'a> {
-    /// The next filled block, or the baton when the ring is empty and the
-    /// helper is not filling. Waits while the helper holds the baton, and
-    /// resumes a panic the helper caught.
-    fn take_next(&mut self) -> Next<'a> {
+    /// Hands the spent block in hand back to the ring and takes the next
+    /// filled one, in one lock acquisition. When the ring is empty and the
+    /// helper is not filling, returns the baton instead, with an empty
+    /// hand; while the helper fills, hurries it and waits. Resumes a panic
+    /// the helper caught.
+    fn exchange(&mut self) -> Option<Source<'a>> {
         let ring = self.ring;
+        let spent = std::mem::take(&mut self.hand);
+        self.offset = 0;
         let mut st = ring.lock();
+        if !spent.requests.is_empty() {
+            st.free.push(spent);
+            ring.changed_for_helper(&mut st);
+        }
         loop {
             if let Some(payload) = st.panic.take() {
                 drop(st);
                 resume_unwind(payload);
             }
             if let Some(block) = st.filled.pop_front() {
-                return Next::Block(block);
+                self.hand = block;
+                return None;
             }
             if let Some(source) = st.source.take() {
-                return Next::Baton(source);
+                return Some(source);
             }
+            ring.hurry.store(true, Ordering::Relaxed);
             st = ring.await_change(st, &ring.server, |st| st.server_parked = true);
         }
     }
@@ -223,34 +297,27 @@ impl RequestChunks for Prefetched<'_, '_> {
         let want = buf.len().min(self.remaining);
         let mut got = 0;
         while got < want {
-            if self.current.is_none() {
-                match self.take_next() {
-                    Next::Block(block) => {
-                        self.current = Some(block);
-                        self.offset = 0;
-                    }
-                    Next::Baton(source) => {
-                        // Fill the rest of the chunk here; a short fill is
-                        // the end of the stream.
-                        got += source.fill(&mut buf[got..want]);
-                        let mut st = self.ring.lock();
-                        st.source = Some(source);
-                        self.ring.changed_for_helper(&mut st);
-                        break;
-                    }
+            if self.offset == self.hand.len {
+                if let Some(source) = self.exchange() {
+                    // Fill the rest of the chunk here; a short fill is the
+                    // end of the stream.
+                    got += source.fill(&mut buf[got..want]);
+                    let mut st = self.ring.lock();
+                    st.source = Some(source);
+                    self.ring.changed_for_helper(&mut st);
+                    break;
                 }
             }
-            let block = self.current.as_ref().expect("a block in hand");
-            let n = (block.len - self.offset).min(want - got);
-            buf[got..got + n].copy_from_slice(&block.requests[self.offset..self.offset + n]);
-            got += n;
-            self.offset += n;
-            if self.offset == block.len {
-                let spent = self.current.take().expect("the block in hand");
-                let mut st = self.ring.lock();
-                st.free.push(spent);
-                self.ring.changed_for_helper(&mut st);
+            let start = self.offset;
+            self.offset = self.hand.len.min(start + want - got);
+            if self.offset - start == want {
+                // The whole chunk lies inside the block in hand.
+                self.remaining -= want;
+                return &self.hand.requests[start..self.offset];
             }
+            let n = self.offset - start;
+            buf[got..got + n].copy_from_slice(&self.hand.requests[start..self.offset]);
+            got += n;
         }
         self.remaining -= got;
         &buf[..got]
@@ -272,6 +339,7 @@ impl Drop for CloseOnDrop<'_, '_> {
     fn drop(&mut self) {
         let mut st = self.0.lock();
         st.closed = true;
+        self.0.hurry.store(true, Ordering::Relaxed);
         self.0.changed_for_helper(&mut st);
     }
 }
@@ -288,25 +356,7 @@ pub fn with_prefetch<R>(
     body: impl FnOnce(Prefetched<'_, '_>) -> R,
 ) -> R {
     let remaining = source.remaining();
-    let ring = Ring {
-        state: Mutex::new(State {
-            source: Some(source),
-            filled: VecDeque::with_capacity(BLOCKS),
-            free: (0..BLOCKS)
-                .map(|_| Block {
-                    requests: vec![Pair::new(0, 1); BLOCK].into_boxed_slice(),
-                    len: 0,
-                })
-                .collect(),
-            helper_parked: false,
-            server_parked: false,
-            closed: false,
-            panic: None,
-        }),
-        changes: AtomicU64::new(0),
-        helper: Condvar::new(),
-        server: Condvar::new(),
-    };
+    let ring = Ring::new(source);
     std::thread::scope(|scope| {
         let ring = &ring;
         // Should no thread be available, the baton stays free for the
@@ -322,9 +372,68 @@ pub fn with_prefetch<R>(
         let _close = CloseOnDrop(ring);
         body(Prefetched {
             ring,
-            current: None,
+            hand: Block::default(),
             offset: 0,
             remaining,
         })
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dcn_traces::uniform_source;
+
+    #[test]
+    fn a_hurried_helper_hands_its_block_over_after_one_fill() {
+        let mut source = uniform_source(8, 2 * BLOCK + 5, 1);
+        let ring = Ring::new(&mut source);
+        let source = ring.lock().source.take().expect("the free baton");
+        let mut block = ring.lock().free.pop().expect("a free block");
+        ring.hurry.store(true, Ordering::Relaxed);
+        assert!(!ring.fill_block(source, &mut block));
+        assert_eq!(block.len, FILL);
+        ring.hurry.store(false, Ordering::Relaxed);
+        assert!(!ring.fill_block(source, &mut block));
+        assert_eq!(block.len, BLOCK);
+        // 5 + BLOCK - FILL requests are left: a short last fill.
+        assert!(ring.fill_block(source, &mut block));
+        assert_eq!(block.len, BLOCK - FILL + 5);
+    }
+
+    #[test]
+    fn a_serving_thread_that_waits_for_the_helper_asks_it_to_hurry() {
+        let mut source = uniform_source(8, BLOCK, 1);
+        let ring = Ring::new(&mut source);
+        // The helper holds the baton: it is filling.
+        let _baton = ring.lock().source.take();
+        std::thread::scope(|scope| {
+            let server = scope.spawn(|| {
+                let mut prefetched = Prefetched {
+                    ring: &ring,
+                    hand: Block::default(),
+                    offset: 0,
+                    remaining: BLOCK,
+                };
+                prefetched.exchange().is_none() && prefetched.hand.len == 1
+            });
+            let t0 = Instant::now();
+            while !ring.hurry.load(Ordering::Relaxed) && t0.elapsed() < Duration::from_secs(60) {
+                std::thread::yield_now();
+            }
+            let hurried = ring.hurry.load(Ordering::Relaxed);
+            // Hand a one-request block over, as a hurried helper would.
+            let mut st = ring.lock();
+            let mut block = st.free.pop().expect("a free block");
+            block.len = 1;
+            st.filled.push_back(block);
+            ring.changed_for_server(&mut st);
+            drop(st);
+            assert!(server.join().expect("the serving side returns"));
+            assert!(
+                hurried,
+                "the waiting serving thread asked the helper to hurry"
+            );
+        });
+    }
 }

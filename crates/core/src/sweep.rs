@@ -23,7 +23,8 @@
 //! Every worker, the inline one included, runs the same claim loop and
 //! keeps plain-u64 accounting (jobs, steals, busy time, a job wall-clock
 //! histogram); it flushes that into the process-global telemetry sink
-//! once, when the loop ends, and only if a sink is installed.
+//! once, when the loop ends, and only if a sink is installed. Jobs run one
+//! after another count apart, in `sweep.sequential_jobs`.
 //!
 //! A [`ShardSpec`] deterministically partitions a table target's rows for
 //! multi-host runs: shard `i/m` owns exactly the rows whose index is
@@ -46,9 +47,11 @@
 //! [`run_jobs_sequential`], as the figure harness does. A job run there
 //! with a core to spare — auto width above one, i.e. outside any worker
 //! and not under `with_threads(1)` — hands its request source to a helper
-//! thread that generates the next requests while the job serves
-//! ([`crate::prefetch`]). Reports are identical either way, and the serve
-//! stopwatch still times serving only.
+//! thread that generates the next requests into 8,192-request blocks
+//! while the job serves, and the job serves its chunks in place from those
+//! blocks ([`crate::prefetch`]). Reports are identical either way. The
+//! serve stopwatch still times `serve_batch` only, which with the helper
+//! includes reading the requests the helper wrote.
 
 use crate::algorithms::AlgorithmKind;
 use crate::prefetch::with_prefetch;
@@ -322,7 +325,13 @@ fn claim_loop<T>(
 /// The jobs one after another, each serving on this thread (for wall-clock
 /// fidelity). With a core to spare, a helper thread generates each job's
 /// next requests meanwhile (see the module docs).
+///
+/// With a process-global telemetry sink installed the call adds the job
+/// count to `sweep.sequential_jobs` (the fan-outs count theirs in
+/// `sweep.jobs`), with or without the helper.
 pub fn run_jobs_sequential(dm: &Arc<DistanceMatrix>, jobs: &[Job]) -> Vec<RunReport> {
+    // One global-handle read per call, never per job.
+    dcn_telemetry::global().add_counter("sweep.sequential_jobs", jobs.len() as u64);
     jobs.iter().map(|j| execute(dm, j)).collect()
 }
 

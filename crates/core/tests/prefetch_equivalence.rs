@@ -2,16 +2,18 @@
 //! serving: a sequential job run with a helper thread (`with_threads(2)`)
 //! must produce the report, the `serve.chunks` / `serve.requests` counters
 //! and the stream of the same job run on one thread (`with_threads(1)`),
-//! for every workload kind, checkpoint grid and batch size; and a panic on
-//! either thread must fail the job as a panic, without a short report, a
-//! hang or an abort.
+//! for every workload kind, checkpoint grid and batch size; a chunk inside
+//! a ring block must be served in place and only a chunk across a block's
+//! end copied; and a panic on either thread must fail the job as a panic,
+//! without a short report, a hang or an abort.
 //!
 //! The telemetry sink and the failpoint registry are process-global, so
 //! every test here serializes on `LOCK`.
 
 use dcn_core::algorithms::rbma::{Rbma, RemovalMode};
 use dcn_core::algorithms::AlgorithmKind;
-use dcn_core::prefetch::{with_prefetch, BLOCK, BLOCKS};
+use dcn_core::prefetch::{with_prefetch, BLOCK, BLOCKS, FILL};
+use dcn_core::simulator::{RequestChunks, RequestStream};
 use dcn_core::sweep::{run_jobs_sequential, run_jobs_supervised, with_threads, Job};
 use dcn_core::{run, SimConfig};
 use dcn_demand::{DemandMatrix, MatrixSequence};
@@ -170,12 +172,16 @@ fn every_batch_size_and_checkpoint_grid_serves_identically() {
     let _g = locked();
     let dm = distances();
     let len = 3 * BLOCK * BLOCKS + 333;
-    let grids: [Vec<usize>; 3] = [
+    let grids: [Vec<usize>; 4] = [
         vec![],
         vec![1, 37, BLOCK - 1, BLOCK + 1, 5 * BLOCK + 3, len - 1],
+        // A chunk ends on a block end, one straddles a block end by one
+        // request, and one starts a request before a block end.
+        vec![BLOCK, 2 * BLOCK + 1, 3 * BLOCK - 1],
         SimConfig::evenly_spaced(len, 14),
     ];
-    for batch_size in [1, 7, 1024, 3 * BLOCK + 5] {
+    // 1,000 divides neither the block nor a fill.
+    for batch_size in [1, 7, 1000, 1024, 3 * BLOCK + 5] {
         for checkpoints in &grids {
             let config = |sink: &Telemetry| {
                 SimConfig {
@@ -207,7 +213,8 @@ fn every_batch_size_and_checkpoint_grid_serves_identically() {
 }
 
 /// A source that panics on its `panic_at`-th `fill` call, on whichever
-/// thread makes it, counts its calls, and reports each call as it starts.
+/// thread makes it (never, at `usize::MAX`), counts its calls, and reports
+/// each call as it starts.
 struct PanickySource {
     inner: Box<dyn RequestSource + Send>,
     fills: Arc<AtomicUsize>,
@@ -292,6 +299,81 @@ fn a_panicking_source_fails_the_run_and_the_helper_is_joined() {
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(fills.load(Ordering::SeqCst), calls, "no fill after return");
     }
+}
+
+#[test]
+fn chunks_inside_a_block_are_served_in_place_and_only_straddles_are_copied() {
+    let _g = locked();
+    let len = (BLOCKS + 2) * BLOCK + 333;
+    // Chunks of 1,000 requests (which divides no block) cut at a block
+    // end, a request past one and a request before one.
+    let batch = 1000;
+    let cuts = [BLOCK, 2 * BLOCK + 1, 3 * BLOCK - 1, len];
+    let (chunks, stream) = within_a_minute(move || {
+        let (started, fill_started) = mpsc::channel();
+        let mut source = PanickySource {
+            inner: Box::new(uniform_source(RACKS, len, 8)),
+            fills: Arc::new(AtomicUsize::new(0)),
+            panic_at: usize::MAX,
+            started,
+        };
+        with_prefetch(&mut source, |prefetched| {
+            // Read nothing until the helper has started the fill that
+            // ends the ring's last block: every block is then filled to
+            // its end, so the first `BLOCKS` blocks end at multiples of
+            // `BLOCK` in the stream.
+            for _ in 0..BLOCKS * BLOCK / FILL {
+                fill_started.recv().expect("the helper fills the ring");
+            }
+            let mut cursor = prefetched.into_chunks();
+            let mut buf = vec![Pair::new(0, 1); batch];
+            let (mut chunks, mut stream) = (Vec::new(), Vec::new());
+            let mut pos = 0;
+            while pos < len {
+                let cut = cuts.into_iter().find(|&c| c > pos).expect("len is a cut");
+                let n = batch.min(cut - pos);
+                let copy_target = buf.as_ptr();
+                let chunk = cursor.next_chunk(&mut buf[..n]);
+                assert_eq!(chunk.len(), n, "chunk at {pos}");
+                chunks.push((pos, pos + n, chunk.as_ptr() != copy_target));
+                stream.extend_from_slice(chunk);
+                pos += n;
+            }
+            assert_eq!(cursor.remaining(), 0);
+            (chunks, stream)
+        })
+    });
+    let mut inline = uniform_source(RACKS, len, 8);
+    let mut want = vec![Pair::new(0, 1); len];
+    assert_eq!(inline.fill(&mut want), len);
+    assert!(
+        stream == want,
+        "the stream differs from the inline source's"
+    );
+
+    // Past the ring's first fill, block ends depend on timing; up to it,
+    // a chunk is copied exactly when it straddles a block end.
+    let mut copied = Vec::new();
+    for &(start, end, in_place) in chunks.iter().filter(|c| c.1 <= BLOCKS * BLOCK) {
+        let straddle = start / BLOCK != (end - 1) / BLOCK;
+        assert_eq!(in_place, !straddle, "chunk {start}..{end}");
+        if !in_place {
+            copied.push((start, end));
+        }
+    }
+    // The chunk that ends on the first block's end and the one that starts
+    // the second block are in place; the chunk one request past the second
+    // block's end and the one from a request before the third's are not
+    // (a block is 8 chunks of 1,000 and one of 192).
+    assert!(chunks.contains(&(BLOCK - 192, BLOCK, true)));
+    assert!(chunks.contains(&(BLOCK, BLOCK + batch, true)));
+    assert_eq!(
+        copied,
+        [
+            (2 * BLOCK - 192, 2 * BLOCK + 1),
+            (3 * BLOCK - 1, 3 * BLOCK + 999)
+        ]
+    );
 }
 
 fn fault_jobs() -> Vec<Job> {

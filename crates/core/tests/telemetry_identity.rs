@@ -15,7 +15,15 @@ use dcn_core::{run, OnlineScheduler, RunReport, SimConfig};
 use dcn_telemetry::Telemetry;
 use dcn_topology::{builders, DistanceMatrix, Pair};
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Serializes the tests that install the process-global sink, so neither
+/// sees the other's counters.
+static GLOBAL_SINK: Mutex<()> = Mutex::new(());
+
+fn global_sink_lock() -> MutexGuard<'static, ()> {
+    GLOBAL_SINK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Deterministic skewed trace from an xorshift stream (hot pairs repeat,
 /// so hits, buys, evictions and specials all fire).
@@ -144,6 +152,7 @@ fn supervised_sweep_reports_identical_with_telemetry_on_or_off() {
     use dcn_core::sweep::{run_jobs_supervised, Job};
     use dcn_traces::TraceSpec;
 
+    let _g = global_sink_lock();
     let net = builders::fat_tree_with_racks(12);
     let dm = Arc::new(DistanceMatrix::between_racks(&net));
     let jobs: Vec<Job> = (0..5u64)
@@ -161,8 +170,8 @@ fn supervised_sweep_reports_identical_with_telemetry_on_or_off() {
         })
         .collect();
 
-    // Off: whatever global handle is installed right now is disabled (no
-    // test in this binary installs one before this point).
+    // Off: whatever global handle is installed right now is disabled (the
+    // tests that install one hold the lock and uninstall it).
     let off: Vec<RunReport> = run_jobs_supervised(&dm, &jobs, 2, "telem")
         .iter()
         .map(|o| o.report().expect("failure-free").without_wall_clock())
@@ -190,4 +199,53 @@ fn supervised_sweep_reports_identical_with_telemetry_on_or_off() {
     // emitting zero-valued noise.
     assert!(!snap.counters.contains_key("sweep.retries"));
     assert!(!snap.counters.contains_key("sweep.quarantined"));
+}
+
+/// Sequential jobs count apart from fan-outs: each `run_jobs_sequential`
+/// call adds its job count to `sweep.sequential_jobs`, the same with the
+/// generating helper (width 2) as without it (width 1), and adds nothing
+/// to `sweep.jobs`.
+#[test]
+fn sequential_jobs_are_counted_with_or_without_the_helper() {
+    use dcn_core::algorithms::AlgorithmKind;
+    use dcn_core::sweep::{run_jobs_sequential, with_threads, Job};
+    use dcn_traces::TraceSpec;
+
+    let _g = global_sink_lock();
+    let dm = Arc::new(DistanceMatrix::between_racks(
+        &builders::fat_tree_with_racks(12),
+    ));
+    let jobs: Vec<Job> = (0..3u64)
+        .map(|seed| Job {
+            algorithm: AlgorithmKind::Rbma { lazy: true },
+            b: 3,
+            alpha: 10,
+            seed,
+            checkpoints: vec![],
+            trace: TraceSpec::Uniform {
+                num_racks: 12,
+                len: 3000,
+                seed,
+            },
+        })
+        .collect();
+    let sink = Telemetry::enabled();
+    dcn_telemetry::install_global(sink.clone());
+    let mut counted = Vec::new();
+    for width in [2, 1] {
+        with_threads(width, || {
+            run_jobs_sequential(&dm, &jobs);
+            run_jobs_sequential(&dm, &jobs[..1]);
+        });
+        let snap = sink.drain();
+        let counter = |name: &str| snap.counters.get(name).copied();
+        counted.push((
+            counter("sweep.sequential_jobs"),
+            counter("sweep.jobs"),
+            counter("serve.requests"),
+        ));
+    }
+    dcn_telemetry::install_global(Telemetry::disabled());
+    assert_eq!(counted[0], (Some(4), None, Some(4 * 3000)), "width 2");
+    assert_eq!(counted[1], counted[0], "width 1");
 }
