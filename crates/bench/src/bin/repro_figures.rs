@@ -39,6 +39,9 @@
 //!               panel c, and above width 1 a helper thread generates each
 //!               job's next requests while it serves. Each job serves on
 //!               one thread. --threads 1 keeps a target on one core.
+//!               Panel b's serve times compare only between runs at the
+//!               same --threads: the helper's generation on the other
+//!               core has raised serve_batch time by 26–32% in some runs.
 //! --pr N        PR number to record ledger measurements under (ledger only)
 //! --ledger-file PATH  ledger location (default BENCH_LEDGER.json)
 //! --shard I/M   compute only this shard's slice of a table target's rows

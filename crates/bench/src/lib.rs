@@ -854,6 +854,39 @@ mod tests {
         }
     }
 
+    /// SO-BMA on every paper kernel: repetition 0 of Figs. 1–4 at 1/5
+    /// scale, four checkpoints, the largest b. Each trace shape (Facebook's
+    /// three clusters on 100 racks, Microsoft's i.i.d. matrix on 50) gives
+    /// the blossom its own mix of ties, so a tie-break the other suites
+    /// miss moves one of these series.
+    #[test]
+    fn so_bma_series_pinned_on_every_paper_kernel() {
+        let got: Vec<(&str, Vec<u64>)> = FigureSpec::paper_figures()
+            .iter()
+            .map(|fig| {
+                let mut spec = fig.scaled(5);
+                spec.num_checkpoints = 4;
+                let b = *spec.bs.last().expect("non-empty b sweep");
+                let series = so_bma_series(
+                    &spec.distances(),
+                    &spec.trace(0).requests,
+                    b,
+                    &spec.checkpoints(),
+                );
+                (fig.id, series.iter().map(|&(_, cost)| cost).collect())
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("fig1", vec![29475, 61579, 94395, 127176]),
+                ("fig2", vec![37807, 78716, 119600, 160139]),
+                ("fig3", vec![13193, 28400, 44083, 60235]),
+                ("fig4", vec![206207, 411761, 618876, 824629]),
+            ]
+        );
+    }
+
     #[test]
     fn markdown_and_csv_render() {
         let series = vec![AveragedSeries {

@@ -68,11 +68,12 @@ pub fn static_routing_cost(dm: &DistanceMatrix, requests: &[Pair], matching: &[P
 ///
 /// Checkpoints are independent tasks, each counting and pricing its own
 /// prefix (`prefix_cost`), so any list — unsorted, repeated, 0 or beyond
-/// the trace — prices each prefix the same way. Two or more checkpoints fan out on [`steal_map`] at the executor's
-/// auto width (one worker per core, or one inside another fan-out's worker,
-/// or the width of an enclosing [`crate::sweep::with_threads`]), largest
-/// prefix first so the longest matching never starts last. A single
-/// checkpoint runs inline and never touches the executor.
+/// the trace — prices each prefix the same way. Two or more checkpoints
+/// fan out on [`steal_map`] at the executor's auto width (one worker per
+/// core, or one inside another fan-out's worker, or the width of an
+/// enclosing [`crate::sweep::with_threads`]), largest prefix first so the
+/// longest matching never starts last. A single checkpoint runs inline and
+/// never touches the executor.
 pub fn so_bma_series(
     dm: &DistanceMatrix,
     requests: &[Pair],

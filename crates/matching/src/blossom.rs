@@ -16,6 +16,18 @@
 //!   that keeps the scanning vertex's least-slack S–S edge in locals (duals
 //!   do not move during a scan) and reads other vertices' least slacks from
 //!   a cache refreshed after every dual adjustment;
+//! * the scan skips the slots to free vertices, which on SO-BMA's dense
+//!   demand graphs are most of them. Every free vertex is an S-root of
+//!   every stage, so all free vertices share one dual, and a scanner's
+//!   free-neighbour slacks are ordered by weight alone. A per-slot bitset
+//!   says which slots lead to matched vertices, and the loop visits only
+//!   those, in adjacency order. Each vertex caches its first heaviest free
+//!   neighbour, which is stale only once that neighbour is matched (two
+//!   vertices per augmentation); it is the free slots' one least-slack
+//!   candidate and merges by (slack, slot position), as if visited. Where
+//!   it cannot stand for the slots in range, the scan takes the heaviest
+//!   free slot in range, or, when a free neighbour is tight, visits every
+//!   slot as the reference does;
 //! * no allocation per event: leaf lists, paths and the least-slack merge
 //!   use buffers owned by the solver, and `repeated_mwm_rounds` keeps one
 //!   solver across its `b` rounds.
@@ -31,11 +43,14 @@
 //! Validation: `tests/blossom_reference.rs` checks identical mate vectors in
 //! a 400-case proptest (4–40 vertices, 10–100% density, weights from `1..=2`,
 //! `1..=4` or `1..=1000`, shuffled edge order), on the hand-written blossom,
-//! T-relabel and nested cases below, and round by round on a Fig. 1-shaped
-//! b = 18 instance. The unit tests below compare the weight with a
-//! brute-force optimum on 200 random graphs, `tests/matching_properties.rs`
-//! does the same in a 64-case proptest, and every debug-build call checks an
-//! independent complementary-slackness optimality certificate.
+//! T-relabel and nested cases below, round by round on a Fig. 1-shaped
+//! b = 18 instance, and in a proptest of `repeated_mwm_rounds` at figure
+//! scale (60–100 vertices, ≥ 80% density, tie-heavy weights). The unit
+//! tests below compare the weight with a brute-force optimum on 200 random
+//! graphs, `tests/matching_properties.rs` does the same in a 64-case
+//! proptest, and every debug-build call checks an independent
+//! complementary-slackness optimality certificate and bounds the dual
+//! adjustments of each stage.
 //!
 //! Weights must be integers (`i64`) no larger than [`MAX_WEIGHT`]; the
 //! algorithm then runs entirely in integer arithmetic (the S-S edge slack is
@@ -126,6 +141,18 @@ pub(crate) struct Matcher {
     /// input order (the reference's `neighbend[v]`).
     adjstart: Vec<usize>,
     adj: Vec<Slot>,
+    /// slot_of[p]: the slot whose remote endpoint is p, so slot s's twin
+    /// (the same edge seen from the other end) is `slot_of[adj[s].p ^ 1]`.
+    slot_of: Vec<usize>,
+    /// Bit s is set iff slot s's remote vertex is matched. Set at the start
+    /// of the stage after the augmentation that matched it.
+    remote_matched: Vec<u64>,
+    /// Vertices whose slots `remote_matched` still calls free.
+    unmarked: Vec<usize>,
+    /// heaviest[v]: v's first slot of greatest weight among those to free
+    /// vertices, NONE if v has none; stale once that slot's vertex is
+    /// matched, which its `remote_matched` bit then says.
+    heaviest: Vec<usize>,
     /// mate[v]: remote *endpoint* of matched edge, or NONE.
     mate: Vec<usize>,
     /// label[b] for vertex/blossom b: 0 free, 1 S, 2 T, 5 breadcrumb.
@@ -182,6 +209,59 @@ fn refill_lists(v: &mut Vec<Vec<usize>>, len: usize) {
     v.truncate(len);
     v.iter_mut().for_each(Vec::clear);
     v.resize_with(len, Vec::new);
+}
+
+/// Visits, in order, the slots in `from..end` whose bit in `bits` is set
+/// (`set`) or clear (`!set`), up to the first for which `f` returns true;
+/// returns that slot, or `end`.
+fn find_slot(
+    bits: &[u64],
+    from: usize,
+    end: usize,
+    set: bool,
+    mut f: impl FnMut(usize) -> bool,
+) -> usize {
+    if from >= end {
+        return end;
+    }
+    let flip = if set { 0 } else { !0 };
+    let (first, last) = (from / 64, (end - 1) / 64);
+    for (i, &bits_i) in (first..).zip(&bits[first..=last]) {
+        let mut word = bits_i ^ flip;
+        if i == first {
+            word &= !0 << (from % 64);
+        }
+        if i == last {
+            word &= !0 >> (63 - (end - 1) % 64);
+        }
+        while word != 0 {
+            let s = i * 64 + word.trailing_zeros() as usize;
+            if f(s) {
+                return s;
+            }
+            word &= word - 1;
+        }
+    }
+    end
+}
+
+/// The first slot of greatest weight in `from..end` whose remote vertex is
+/// free (its `bits` bit clear) and that `keep` accepts, or NONE.
+fn first_heaviest_free(
+    adj: &[Slot],
+    bits: &[u64],
+    from: usize,
+    end: usize,
+    keep: impl Fn(usize) -> bool,
+) -> usize {
+    let mut best = NONE;
+    find_slot(bits, from, end, false, |s| {
+        if keep(s) && (best == NONE || adj[s].wt2 > adj[best].wt2) {
+            best = s;
+        }
+        false
+    });
+    best
 }
 
 impl Matcher {
@@ -263,6 +343,7 @@ impl Matcher {
             self.adjstart[v + 1] += self.adjstart[v];
         }
         refill(&mut self.adj, 2 * nedge, Slot::default());
+        refill(&mut self.slot_of, 2 * nedge, NONE);
         for k in 0..nedge {
             let (i, j, wt2) = (self.endpoint[2 * k], self.endpoint[2 * k + 1], self.wt2[k]);
             for (v, p, w) in [(i, 2 * k + 1, j), (j, 2 * k, i)] {
@@ -272,6 +353,7 @@ impl Matcher {
                     w: w as u32,
                     wt2,
                 };
+                self.slot_of[p] = self.adjstart[v];
                 self.adjstart[v] += 1;
             }
         }
@@ -279,6 +361,15 @@ impl Matcher {
         self.adjstart.copy_within(0..n, 1);
         self.adjstart[0] = 0;
 
+        refill(&mut self.remote_matched, nedge.div_ceil(32), 0);
+        self.unmarked.clear();
+        self.unmarked.extend(0..n);
+        self.heaviest.clear();
+        for v in 0..n {
+            let (from, end) = (self.adjstart[v], self.adjstart[v + 1]);
+            let h = first_heaviest_free(&self.adj, &self.remote_matched, from, end, |_| true);
+            self.heaviest.push(h);
+        }
         refill(&mut self.mate, n, NONE);
         refill(&mut self.label, 2 * n, 0);
         refill(&mut self.labelend, 2 * n, NONE);
@@ -678,6 +769,36 @@ impl Matcher {
         }
     }
 
+    /// Sets the `remote_matched` bit of every slot that leads to a vertex
+    /// the last augmentation matched. Matched vertices never become free
+    /// again, so each vertex is marked once per solve.
+    fn mark_newly_matched(&mut self) {
+        let mut unmarked = std::mem::take(&mut self.unmarked);
+        unmarked.retain(|&x| {
+            if self.mate[x] == NONE {
+                return true;
+            }
+            for s in self.adjstart[x]..self.adjstart[x + 1] {
+                let twin = self.slot_of[self.adj[s].p as usize ^ 1];
+                self.remote_matched[twin / 64] |= 1 << (twin % 64);
+            }
+            false
+        });
+        self.unmarked = unmarked;
+    }
+
+    /// v's first slot of greatest weight among those to free vertices, or
+    /// NONE, refreshing `heaviest[v]` if its vertex has been matched.
+    fn heaviest_free_slot(&mut self, v: usize) -> usize {
+        let h = self.heaviest[v];
+        if h != NONE && self.remote_matched[h / 64] >> (h % 64) & 1 == 1 {
+            let (from, end) = (self.adjstart[v], self.adjstart[v + 1]);
+            self.heaviest[v] =
+                first_heaviest_free(&self.adj, &self.remote_matched, from, end, |_| true);
+        }
+        self.heaviest[v]
+    }
+
     /// The adjacency scan of S-vertex `v` over slots `from..end`, up to the
     /// first edge it must act on. Non-tight edges only update least-slack
     /// bookkeeping, exactly as the reference's scan does, and are handled
@@ -688,7 +809,24 @@ impl Matcher {
     /// Duals do not move during a scan, so v's least-slack S–S edge and its
     /// slack stay in locals until the loop returns, and the least slack of
     /// a free vertex comes from `bestslack`.
+    ///
+    /// The loop visits only slots to matched vertices. Every free vertex is
+    /// an S-root of every stage (it stays S until it is matched), so all
+    /// free vertices have taken every dual step together and share one
+    /// dual `D`. A slot to a free vertex thus has slack `π_v + D − 2w`: of
+    /// all free slots, the first heaviest (`heaviest[v]`) has the least
+    /// slack, and the earliest least-slack one in any range is its first
+    /// heaviest. Such a slot is never allowed unless it is tight, since its
+    /// slack is ≤ 0 when it becomes allowed and never grows within a stage
+    /// (the free end's dual falls by each step, the other end's rises by at
+    /// most as much). So when the heaviest free slot is not tight, no free
+    /// slot stops the scan, and the free slots offer exactly one
+    /// candidate, the first heaviest among those in range outside v's
+    /// blossom; it enters the least-slack merge at its slot position, as if
+    /// the loop had visited it. When that slot is tight, the scan visits
+    /// every slot in order instead.
     fn scan_to_allowed(&mut self, v: usize, from: usize, end: usize) -> usize {
+        let heaviest = self.heaviest_free_slot(v);
         let Self {
             adj,
             inblossom,
@@ -697,40 +835,71 @@ impl Matcher {
             allowedge,
             bestedge,
             bestslack,
+            remote_matched,
             ..
         } = self;
         let bv = inblossom[v];
         let dv = dualvar[v];
+        let free_slack = |s: usize| dv + dualvar[adj[s].w as usize] - adj[s].wt2;
+        let scan_all = heaviest != NONE && free_slack(heaviest) <= 0;
+        // The least-slack S–S edge so far, and its slot (NONE while it is
+        // the edge the scan started with, which wins every tie).
         let mut best = bestedge[bv];
         let mut best_slack = bestslack[bv];
-        let mut stop = end;
-        for (s, slot) in (from..end).zip(&adj[from..end]) {
+        let mut best_slot = NONE;
+        let mut visit = |s: usize| -> bool {
+            let slot = &adj[s];
             let w = slot.w as usize;
             let bw = inblossom[w];
             if bw == bv {
-                continue;
+                return false;
             }
             let k = (slot.p >> 1) as usize;
             if allowedge[k] {
-                stop = s;
-                break;
+                return true;
             }
             let kslack = dv + dualvar[w] - slot.wt2;
             if kslack <= 0 {
                 allowedge[k] = true;
-                stop = s;
-                break;
+                return true;
             }
             if label[bw] == 1 {
                 if best == NONE || kslack < best_slack {
                     best = k;
                     best_slack = kslack;
+                    best_slot = s;
                 }
             } else if label[w] == 0 && (bestedge[w] == NONE || kslack < bestslack[w]) {
                 bestedge[w] = k;
                 bestslack[w] = kslack;
             }
-        }
+            false
+        };
+        let stop = if scan_all {
+            (from..end).find(|&s| visit(s)).unwrap_or(end)
+        } else {
+            let stop = find_slot(remote_matched, from, end, true, &mut visit);
+            let outside = |s: usize| inblossom[adj[s].w as usize] != bv;
+            let free = if heaviest == NONE {
+                NONE
+            } else if (from..stop).contains(&heaviest) && outside(heaviest) {
+                heaviest
+            } else {
+                first_heaviest_free(adj, remote_matched, from, stop, outside)
+            };
+            if free != NONE {
+                debug_assert_eq!(label[inblossom[adj[free].w as usize]], 1);
+                let fslack = free_slack(free);
+                if best == NONE
+                    || fslack < best_slack
+                    || (fslack == best_slack && best_slot != NONE && free < best_slot)
+                {
+                    best = (adj[free].p >> 1) as usize;
+                    best_slack = fslack;
+                }
+            }
+            stop
+        };
         bestedge[bv] = best;
         bestslack[bv] = best_slack;
         stop
@@ -739,6 +908,7 @@ impl Matcher {
     /// Main loop: up to `nvertex` augmentation stages.
     fn solve(&mut self) {
         for _ in 0..self.nvertex {
+            self.mark_newly_matched();
             self.label.iter_mut().for_each(|l| *l = 0);
             self.bestedge.iter_mut().for_each(|e| *e = NONE);
             for be in &mut self.hasbestedges[self.nvertex..] {
@@ -752,6 +922,19 @@ impl Matcher {
                 }
             }
             let mut augmented = false;
+            // Every dual adjustment of a stage but its last makes progress
+            // of one of three kinds, each bounded by n within a stage:
+            // * it tightens an edge to an unlabelled blossom, and the scan
+            //   it queues labels a blossom T and its base's mate's blossom
+            //   S; that adds S-vertices, which stay S until the stage ends;
+            // * it tightens an S–S edge, and the scan closes a blossom;
+            //   blossoms made in a stage last until it ends and nest, each
+            //   with at least three children;
+            // * it expands a T-blossom, which existed when the stage began.
+            // So a stage makes at most 3n + 1 adjustments. A scan that
+            // misses the edge a step made tight would repeat that step
+            // forever instead.
+            let mut adjustments = 0;
             loop {
                 while !self.queue.is_empty() && !augmented {
                     let v = self.queue.pop().expect("queue non-empty");
@@ -790,6 +973,11 @@ impl Matcher {
                 }
 
                 // Dual adjustment: pick the smallest of the four delta types.
+                adjustments += 1;
+                debug_assert!(
+                    adjustments <= 3 * self.nvertex + 1,
+                    "a blossom stage made more than 3n + 1 dual adjustments"
+                );
                 let mut deltatype = 1;
                 let mut delta = self.dualvar[..self.nvertex]
                     .iter()

@@ -9,7 +9,8 @@
 //! the figure artifacts. The production matcher therefore promises the
 //! reference's exact mate vector, and these suites check that promise on
 //! random graphs with heavy ties, on the hand-written blossom cases, and
-//! round by round on a Fig. 1-shaped b-matching. The reference below uses
+//! round by round on a Fig. 1-shaped b-matching and on random dense graphs
+//! of figure size. The reference below uses
 //! `Vec<Vec<usize>>` adjacency and `(usize, usize, i64)` edge tuples, and
 //! allocates per event; only its entry point was renamed.
 
@@ -752,16 +753,21 @@ fn we(u: u32, v: u32, w: i64) -> WeightedEdge {
 }
 
 /// A random simple graph on `n` vertices: each pair is present with
-/// probability `density_pct`%, has a random orientation and a weight
-/// uniform in `1..=max_w`, and the edge list is shuffled.
-fn random_graph(n: usize, density_pct: u32, max_w: i64, seed: u64) -> Vec<WeightedEdge> {
+/// probability `density_pct`%, has a random orientation and a weight drawn
+/// by `weight`, and the edge list is shuffled.
+fn random_graph(
+    n: usize,
+    density_pct: u32,
+    seed: u64,
+    weight: impl Fn(&mut SmallRng) -> i64,
+) -> Vec<WeightedEdge> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut edges = Vec::new();
     for u in 0..n as u32 {
         for v in (u + 1)..n as u32 {
             if rng.random_range(0..100u32) < density_pct {
                 let (a, b) = if rng.random_bool(0.5) { (u, v) } else { (v, u) };
-                edges.push(we(a, b, rng.random_range(1..=max_w)));
+                edges.push(we(a, b, weight(&mut rng)));
             }
         }
     }
@@ -783,11 +789,40 @@ proptest! {
         weight_class in 0usize..3,
         seed in any::<u64>(),
     ) {
-        let edges = random_graph(n, density_pct, [2, 4, 1000][weight_class], seed);
+        let max_w = [2, 4, 1000][weight_class];
+        let edges = random_graph(n, density_pct, seed, |rng| rng.random_range(1..=max_w));
         prop_assert_eq!(
             max_weight_matching(n, &edges),
             reference_max_weight_matching(n, &edges)
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Figure-scale rounds: 60–100 racks with nearly every pair requested,
+    /// weights from `1..=2` or a request count times a fat-tree saving
+    /// `ℓ − 1 ∈ {1, 3, 5}`, as in SO-BMA's input. Most vertices stay free
+    /// through most stages here, so nearly every scan prices its free
+    /// neighbours by weight alone, and each round starts from the ties
+    /// the last one left.
+    #[test]
+    fn repeated_rounds_match_reference_at_figure_scale(
+        n in 60usize..=100,
+        density_pct in 80u32..=100,
+        fat_tree_savings in any::<bool>(),
+        b in 2usize..=4,
+        seed in any::<u64>(),
+    ) {
+        let edges = random_graph(n, density_pct, seed, |rng| {
+            if fat_tree_savings {
+                rng.random_range(1..=6i64) * [1, 3, 5][rng.random_range(0..3usize)]
+            } else {
+                rng.random_range(1..=2)
+            }
+        });
+        prop_assert_eq!(repeated_mwm_rounds(n, &edges, b), reference_rounds(n, &edges, b));
     }
 }
 
