@@ -1,5 +1,5 @@
 //! Tier-1 oracle check for BMA: the production scheduler ([`Bma`]: flat
-//! intrusive LRU and pair-table counters) and its reference ([`BmaBTree`]:
+//! last-touch stamps and pair-table counters) and its reference ([`BmaBTree`]:
 //! per-rack `BTreeMap` recency and `FxHashMap` counters) must produce
 //! identical `RunReport`s, every field except wall-clock time, on the
 //! `scaling` target's standard point and on every committed corpus genome

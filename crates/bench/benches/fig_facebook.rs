@@ -1,7 +1,8 @@
 //! Criterion companion to Figures 1b/2b/3b: serve-loop throughput of R-BMA
 //! vs BMA on the three Facebook-like workloads, across the paper's b sweep.
-//! The paper's claims — R-BMA faster, BMA degrading as b grows — show up
-//! here as per-request throughput.
+//! The paper reports R-BMA faster and BMA degrading as b grows; this bench
+//! measures both as per-request throughput, and its numbers, like the
+//! panel (b) artifacts, say which ordering this reproduction shows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dcn_bench::{FigureSpec, Workload};

@@ -2,9 +2,10 @@
 //!
 //! Times the per-request work behind the §3.2 execution-time panels at the
 //! finest granularity: R-BMA's ordinary request bumps one counter in a
-//! `PairTable`, with marking work only on special requests; BMA's
-//! pays O(1) recency upkeep (two list splices) on every hit and evicts
-//! from the head of an intrusive LRU.
+//! `PairTable`, with marking work only on special requests; BMA
+//! pays O(1) recency upkeep (two stamp stores) on every hit and evicts
+//! the edge with the oldest of the full rack's `b` last-touch stamps, an
+//! O(b) scan that the `b_sensitivity` group times up to b = 48.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dcn_bench::{FigureSpec, Workload};

@@ -296,7 +296,7 @@ fn serve_specials_density(c: &mut Criterion) {
 }
 
 /// The isolated BMA hit-path upkeep: touching matched edges in the recency
-/// index, flat intrusive LRU vs the historical BTreeMap reference, with
+/// index, flat last-touch stamps vs the historical BTreeMap reference, with
 /// everything else (counters, routing lookups, dispatch) stripped away.
 /// This is the `bma/recency_upkeep` point that makes the flattening win
 /// visible in the benchmark artifact, not only in the end-to-end number.

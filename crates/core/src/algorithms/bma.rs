@@ -20,11 +20,11 @@
 //! indexes at both endpoints, where R-BMA's ordinary request bumps one
 //! counter. How the two compare per request also depends on how often
 //! each reconfigures, which the trace decides; the panel (b) artifacts say
-//! which serves faster. The upkeep itself is O(1): the recency index is a flat intrusive LRU threaded through
-//! the matching's fixed-stride adjacency
+//! which serves faster. The upkeep itself is O(1): the recency index is
+//! one last-touch stamp per slot of the matching's fixed-stride adjacency
 //! ([`dcn_matching::recency::LruBMatching`] — a hit is one load of the
-//! matching's position index plus two list splices, eviction a head read,
-//! and a buy or an eviction scans no block), and the rent counters are a
+//! matching's position index plus two stamp stores, and an eviction the
+//! minimum over the full rack's `b` stamps), and the rent counters are a
 //! [`PairTable`], so a miss is one load plus an add. The algorithm is
 //! generic over both stores ([`BmaWith`]); [`BmaBTree`] instantiates it over
 //! the historical per-rack `BTreeMap` recency and hashed counters as the
@@ -99,8 +99,8 @@ pub struct BmaWith<M: RecencyMatching, C: RentCounters> {
     /// Matching + per-endpoint recency (LRU victim selection).
     index: M,
     /// Local event recorders, drained by `telemetry_flush` (hits are bulk
-    /// adds at loop ends; only buy/evict/splice events pay a per-event
-    /// bump — all of them off the per-request fast path).
+    /// adds at loop ends; only buy/evict events pay a per-event bump —
+    /// both off the per-request fast path).
     stats: BmaStats,
 }
 
@@ -109,15 +109,13 @@ pub struct BmaWith<M: RecencyMatching, C: RentCounters> {
 struct BmaStats {
     /// Requests that arrived on a matching edge.
     hits: Counter,
-    /// LRU list-splice operations, one per hit (the §3.2 upkeep).
-    splices: Counter,
     /// Rent-or-buy threshold crossings (edge insertions).
     buys: Counter,
     /// Deterministic LRU evictions.
     evictions: Counter,
 }
 
-/// BMA over the flat intrusive LRU and pair-table counters — the
+/// BMA over the flat last-touch stamps and pair-table counters — the
 /// production instantiation.
 pub type Bma = BmaWith<LruBMatching, PairTable<u64>>;
 
@@ -188,10 +186,9 @@ impl<M: RecencyMatching, C: RentCounters> OnlineScheduler for BmaWith<M, C> {
     fn serve(&mut self, pair: Pair) -> ServeOutcome {
         // The membership check and the recency refresh are one fused
         // operation (on the flat index, the membership probe already
-        // locates the intrusive list nodes).
+        // locates the two stamp slots).
         if self.index.touch_hit(pair) {
             self.stats.hits.bump();
-            self.stats.splices.bump();
             return ServeOutcome {
                 was_matched: true,
                 added: 0,
@@ -209,7 +206,7 @@ impl<M: RecencyMatching, C: RentCounters> OnlineScheduler for BmaWith<M, C> {
     }
 
     /// Batched serve, one fused loop: hits stay on the immediate
-    /// recency-upkeep path — two O(1) splices per hit — while batching
+    /// recency-upkeep path — two stamp stores per hit — while batching
     /// shrinks the dispatch/accounting overhead around it. Routing is
     /// charged from the simulator's `dm`, renting from the scheduler's own
     /// (the same matrix in every sweep, so the second read hits the
@@ -230,7 +227,6 @@ impl<M: RecencyMatching, C: RentCounters> OnlineScheduler for BmaWith<M, C> {
             }
         }
         self.stats.hits.add(matched);
-        self.stats.splices.add(matched);
         acc.matched += matched;
         acc.routing_cost += routing;
     }
@@ -241,7 +237,6 @@ impl<M: RecencyMatching, C: RentCounters> OnlineScheduler for BmaWith<M, C> {
 
     fn telemetry_flush(&mut self, sink: &Telemetry) {
         sink.add_counter("bma.hits", self.stats.hits.take());
-        sink.add_counter("bma.lru_splices", self.stats.splices.take());
         sink.add_counter("bma.buys", self.stats.buys.take());
         sink.add_counter("bma.evictions", self.stats.evictions.take());
     }
@@ -420,8 +415,8 @@ mod tests {
             }
             bma.serve(Pair::new(a, c));
         }
-        // Every matched edge appears in both endpoints' recency lists, and
-        // the intrusive slab is internally consistent.
+        // Every matched edge appears in both endpoints' recency orders, and
+        // the stamps are internally consistent.
         bma.index.assert_valid();
         let mut listed = 0;
         for v in 0..n as NodeId {

@@ -8,11 +8,11 @@
 //! against fine-granular per-request schedulers); comparing it against
 //! R-BMA quantifies what per-request adaptivity buys.
 //!
-//! Substrate note: the flat intrusive recency slab that now backs BMA
-//! ([`dcn_matching::recency::LruBMatching`]) was evaluated here and not
+//! Substrate note: the flat last-touch stamps that back BMA's recency
+//! ([`dcn_matching::recency::LruBMatching`]) were evaluated here and not
 //! adopted — this scheduler keeps a demand *count* window (`window`) and
-//! never asks which edge is least recently used, so an LRU overlay would
-//! be dead weight on its hot path. Its per-request membership probe and
+//! never asks which edge is least recently used, so a recency overlay
+//! would be dead weight on its hot path. Its per-request membership probe and
 //! its rebuild's removals are one load of [`BMatching`]'s position index
 //! each, with no block scan.
 

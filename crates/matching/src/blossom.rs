@@ -28,6 +28,9 @@
 //!   it cannot stand for the slots in range, the scan takes the heaviest
 //!   free slot in range, or, when a free neighbour is tight, visits every
 //!   slot as the reference does;
+//! * the dual adjustment picks its delta from that same least-slack cache,
+//!   and walks the blossom ids (`n..2n`) only while a blossom is alive,
+//!   which on SO-BMA's graphs is rarely;
 //! * no allocation per event: leaf lists, paths and the least-slack merge
 //!   use buffers owned by the solver, and `repeated_mwm_rounds` keeps one
 //!   solver across its `b` rounds.
@@ -986,9 +989,17 @@ impl Matcher {
                     .expect("nvertex > 0");
                 let mut deltaedge = NONE;
                 let mut deltablossom = NONE;
+                // Ids from `nvertex` up are blossoms; while none is alive,
+                // the passes below stop at the vertices.
+                let ids = if self.unusedblossoms.len() < self.nvertex {
+                    2 * self.nvertex
+                } else {
+                    self.nvertex
+                };
                 for v in 0..self.nvertex {
                     if self.label[self.inblossom[v]] == 0 && self.bestedge[v] != NONE {
-                        let d = self.slack(self.bestedge[v]);
+                        let d = self.bestslack[v];
+                        debug_assert_eq!(d, self.slack(self.bestedge[v]));
                         if d < delta {
                             delta = d;
                             deltatype = 2;
@@ -996,12 +1007,13 @@ impl Matcher {
                         }
                     }
                 }
-                for b in 0..2 * self.nvertex {
+                for b in 0..ids {
                     if self.blossomparent[b] == NONE
                         && self.label[b] == 1
                         && self.bestedge[b] != NONE
                     {
-                        let kslack = self.slack(self.bestedge[b]);
+                        let kslack = self.bestslack[b];
+                        debug_assert_eq!(kslack, self.slack(self.bestedge[b]));
                         debug_assert!(
                             kslack % 2 == 0,
                             "S-S slack must be even for integer weights"
@@ -1014,7 +1026,7 @@ impl Matcher {
                         }
                     }
                 }
-                for b in self.nvertex..2 * self.nvertex {
+                for b in self.nvertex..ids {
                     if self.blossombase[b] != NONE
                         && self.blossomparent[b] == NONE
                         && self.label[b] == 2
@@ -1034,7 +1046,7 @@ impl Matcher {
                         _ => {}
                     }
                 }
-                for b in self.nvertex..2 * self.nvertex {
+                for b in self.nvertex..ids {
                     if self.blossombase[b] != NONE && self.blossomparent[b] == NONE {
                         match self.label[b] {
                             1 => self.dualvar[b] += delta,
@@ -1043,7 +1055,7 @@ impl Matcher {
                         }
                     }
                 }
-                for b in 0..2 * self.nvertex {
+                for b in 0..ids {
                     if self.bestedge[b] != NONE {
                         self.bestslack[b] = self.slack(self.bestedge[b]);
                     }

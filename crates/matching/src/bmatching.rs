@@ -12,7 +12,7 @@
 //! Insert appends to both blocks and removal swap-removes (the block's
 //! last edge fills the hole, and its table entry follows). That order
 //! evolution is part of the contract: callers that scan `incident_edges`
-//! for a victim (R-BMA's lazy prune) and BMA's LRU, whose list slots are
+//! for a victim (R-BMA's lazy prune) and BMA's LRU, whose stamp slots are
 //! block positions, depend on it.
 //!
 //! The surface covers both R-BMA's lazy-removal mode (callers pick which

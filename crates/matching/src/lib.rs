@@ -15,10 +15,10 @@
 //!   of exact matching on the residual graph: exactly what `b` optical
 //!   circuit switches realize physically (each switch carries one matching).
 //! * [`recency`] — per-endpoint LRU recency over a [`BMatching`]:
-//!   [`recency::LruBMatching`], a flat intrusive LRU threaded through the
-//!   matching's fixed-stride adjacency (O(1) touch/evict, BMA's hot path),
-//!   plus the stamp/B-tree reference oracle it is equivalence-tested
-//!   against.
+//!   [`recency::LruBMatching`], one last-touch stamp per slot of the
+//!   matching's fixed-stride adjacency (O(1) touch, O(b) eviction, BMA's
+//!   hot path), plus the stamp/B-tree reference oracle it is
+//!   equivalence-tested against.
 //! * [`brute`] — exponential-time exact optima for small instances, used as
 //!   ground truth by tests.
 

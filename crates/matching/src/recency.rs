@@ -4,14 +4,14 @@
 //!
 //! Two implementations with one contract ([`RecencyMatching`]):
 //!
-//! * [`LruBMatching`] — the production structure: a **flat intrusive LRU**.
-//!   A slab of list nodes with `prev`/`next` slot indices is threaded
-//!   per-endpoint through the *same fixed-stride adjacency layout*
+//! * [`LruBMatching`] — the production structure: one `u64` **last-touch
+//!   stamp per adjacency slot**, laid over the *same fixed-stride layout*
 //!   [`BMatching`] already owns (edge at position `i` of rack `v`'s block
 //!   occupies slot `v·b + i`). [`BMatching::positions`] names each matched
-//!   edge's two block positions, so membership and the list-node lookup
-//!   are one load — no block scan, no allocation, no tree. A hit is that
-//!   load plus two O(1) list splices; the eviction victim is a head read.
+//!   edge's two block positions, so membership and the slot lookup are one
+//!   load — no block scan, no allocation, no tree. A hit is that load plus
+//!   two stamp stores; the eviction victim is the minimum of the rack's at
+//!   most `b` stamps.
 //! * [`BTreeRecencyMatching`] — the historical structure (one
 //!   `BTreeMap<stamp, Pair>` per rack plus a `pair → stamp` map), kept as
 //!   the **reference oracle**: the equivalence proptests replay both side
@@ -21,29 +21,26 @@
 //!   from [`BMatching`]'s index, so a stale index entry shows up as a
 //!   divergence instead of being shared by both sides.
 //!
-//! Victim equivalence argument: the B-tree orders a rack's incident edges
-//! by their last-touch stamp, drawn from a strictly increasing global
-//! clock; the intrusive list orders them by last-touch *sequence* (touch
-//! moves a node to the MRU tail, insertion enters at the MRU tail). Both
-//! orders are the order of last touches, so the minimum-stamp edge and the
-//! LRU head coincide — decision for decision. The list needs no stamps at
-//! all, which also removes the B-tree's (theoretical) clock-wraparound
-//! hazard: [`BTreeRecency`] aborts if its `u64` stamp clock would overflow,
-//! while [`LruBMatching`] has no clock to overflow.
+//! Victim equivalence argument: both structures give every touch (a hit or
+//! an insertion) the next value of one strictly increasing `u64` clock, and
+//! an edge keeps the stamp of its last touch at both endpoints. A touch
+//! stamps one edge, so a rack's stamps are distinct and order its incident
+//! edges by last touch: the B-tree's first key and the flat argmin are the
+//! same edge — decision for decision. A stamp past `u64::MAX` would wrap
+//! and reorder, so both clocks abort instead ([`LruBMatching`] and
+//! [`BTreeRecency`] alike; at one touch per nanosecond that is 584 years
+//! away).
 //!
 //! Adoption survey (rest of the workspace): `periodic.rs` keeps a demand
-//! *count* window (no recency ordering), so it does not gain from this
-//! slab; R-BMA's marking caches sample uniformly (`DenseMarking`), which is
-//! already O(1), and R-BMA reads membership from [`BMatching`] itself.
+//! *count* window (no recency ordering), so it does not gain from these
+//! stamps; R-BMA's marking caches sample uniformly (`DenseMarking`), which
+//! is already O(1), and R-BMA reads membership from [`BMatching`] itself.
 //! BMA is the only recency consumer, and it rides [`LruBMatching`].
 
 use crate::BMatching;
 use dcn_topology::{NodeId, Pair};
 use dcn_util::FxHashMap;
 use std::collections::BTreeMap;
-
-/// Sentinel for "no slot" in the intrusive lists.
-const NIL: u32 = u32::MAX;
 
 /// A degree-capped matching with per-endpoint LRU recency over its incident
 /// edges. The one contract BMA needs: membership-with-touch, MRU insertion,
@@ -75,14 +72,14 @@ pub trait RecencyMatching {
     fn recency_order(&self, v: NodeId) -> Vec<Pair>;
 }
 
-/// Flat intrusive LRU over [`BMatching`]'s fixed-stride adjacency.
+/// Last-touch stamps over [`BMatching`]'s fixed-stride adjacency.
 ///
-/// Layout: edge at position `i` of rack `v`'s adjacency block owns list
-/// slot `v·b + i` in the `prev`/`next` slabs; `head[v]`/`tail[v]` bound
-/// rack `v`'s list (head = LRU victim, tail = MRU). An edge's two
-/// positions come from [`BMatching::positions`], so finding its list
-/// nodes is one load. [`BMatching`]'s swap-remove (last block entry fills
-/// the hole) is mirrored by relabeling the moved edge's list node, so
+/// Layout: the edge at position `i` of rack `v`'s adjacency block owns
+/// stamp slot `v·b + i`, and an edge holds the same stamp at both of its
+/// slots: the value the clock gave its last touch. An edge's two
+/// positions come from [`BMatching::positions`], so finding its slots is
+/// one load. [`BMatching`]'s swap-remove (last block entry fills the
+/// hole) is mirrored by copying the moved edge's stamp into the hole, so
 /// slots always track block positions.
 ///
 /// ```
@@ -99,115 +96,77 @@ pub trait RecencyMatching {
 #[derive(Clone, Debug)]
 pub struct LruBMatching {
     matching: BMatching,
-    /// Intrusive list slabs, indexed by adjacency slot `v·cap + position`.
-    prev: Vec<u32>,
-    next: Vec<u32>,
-    /// Oldest (LRU) slot per rack; `NIL` when the rack has no edges.
-    head: Vec<u32>,
-    /// Newest (MRU) slot per rack.
-    tail: Vec<u32>,
+    /// Last-touch stamp per adjacency slot `v·cap + position`; slots past
+    /// a rack's degree are stale and never read.
+    stamps: Vec<u64>,
+    /// The last stamp handed out.
+    clock: u64,
 }
 
 impl LruBMatching {
-    #[inline]
-    fn slot(&self, v: NodeId, pos: usize) -> u32 {
-        (v as usize * self.matching.cap() + pos) as u32
-    }
-
-    /// Unlinks `slot` from rack `v`'s list (must be linked).
-    #[inline]
-    fn unlink(&mut self, v: NodeId, slot: u32) {
-        let (p, n) = (self.prev[slot as usize], self.next[slot as usize]);
-        if p == NIL {
-            self.head[v as usize] = n;
-        } else {
-            self.next[p as usize] = n;
-        }
-        if n == NIL {
-            self.tail[v as usize] = p;
-        } else {
-            self.prev[n as usize] = p;
+    /// Empty structure whose stamp clock starts at `clock` — lets tests
+    /// probe behaviour at very large stamps, next to the overflow guard.
+    pub fn with_start_clock(n: usize, b: usize, clock: u64) -> Self {
+        Self {
+            matching: BMatching::new(n, b),
+            stamps: vec![0; n * b],
+            clock,
         }
     }
 
-    /// Links `slot` at rack `v`'s MRU end.
     #[inline]
-    fn push_mru(&mut self, v: NodeId, slot: u32) {
-        let t = self.tail[v as usize];
-        self.prev[slot as usize] = t;
-        self.next[slot as usize] = NIL;
-        if t == NIL {
-            self.head[v as usize] = slot;
-        } else {
-            self.next[t as usize] = slot;
-        }
-        self.tail[v as usize] = slot;
+    fn slot(&self, v: NodeId, pos: usize) -> usize {
+        v as usize * self.matching.cap() + pos
     }
 
-    /// Moves the list node at `from` to `to` (the swap-remove mirror):
-    /// neighbors and head/tail that pointed at `from` now point at `to`.
+    /// Rack `v`'s stamps, in block order.
     #[inline]
-    fn relabel(&mut self, v: NodeId, from: u32, to: u32) {
-        let (p, n) = (self.prev[from as usize], self.next[from as usize]);
-        self.prev[to as usize] = p;
-        self.next[to as usize] = n;
-        if p == NIL {
-            self.head[v as usize] = to;
-        } else {
-            self.next[p as usize] = to;
-        }
-        if n == NIL {
-            self.tail[v as usize] = to;
-        } else {
-            self.prev[n as usize] = to;
-        }
+    fn rack_stamps(&self, v: NodeId) -> &[u64] {
+        let base = self.slot(v, 0);
+        &self.stamps[base..base + self.matching.degree(v)]
     }
 
-    /// Exhaustive consistency check (tests/debug): list membership equals
-    /// block membership, orders are walkable from both ends, and the
-    /// underlying matching invariant (its position index included) holds.
+    /// Stamps both endpoints' slots of `pair` (at `positions`) with the
+    /// next clock value.
+    #[inline]
+    fn stamp(&mut self, pair: Pair, [lo_pos, hi_pos]: [usize; 2]) {
+        self.clock = self
+            .clock
+            .checked_add(1)
+            .expect("LruBMatching stamp clock overflow: stamps would wrap and reorder");
+        let (lo, hi) = (self.slot(pair.lo(), lo_pos), self.slot(pair.hi(), hi_pos));
+        self.stamps[lo] = self.clock;
+        self.stamps[hi] = self.clock;
+    }
+
+    /// Exhaustive consistency check (tests/debug): each edge holds one
+    /// stamp at both of its slots, no later than the clock, a rack's stamps
+    /// are distinct, and the underlying matching invariant (its position
+    /// index included) holds.
     pub fn assert_valid(&self) {
         self.matching.assert_valid();
         for v in 0..self.matching.num_racks() as NodeId {
-            let d = self.matching.degree(v);
-            let base = v as usize * self.matching.cap();
-            let mut seen = vec![false; d];
-            let mut slot = self.head[v as usize];
-            let mut prev = NIL;
-            let mut walked = 0usize;
-            while slot != NIL {
-                let pos = slot as usize - base;
-                assert!(pos < d, "slot {slot} outside the valid prefix at {v}");
-                assert!(!seen[pos], "slot {slot} linked twice at {v}");
-                seen[pos] = true;
-                assert_eq!(self.prev[slot as usize], prev, "broken prev at {v}");
-                prev = slot;
-                slot = self.next[slot as usize];
-                walked += 1;
-                assert!(walked <= d, "cycle in recency list at {v}");
+            let stamps = self.rack_stamps(v);
+            for (&e, &s) in self.matching.incident_edges(v).iter().zip(stamps) {
+                let [lo, hi] = self.matching.positions(e).expect("block edge is matched");
+                let ends = [self.slot(e.lo(), lo), self.slot(e.hi(), hi)];
+                assert!(
+                    ends.iter().all(|&slot| self.stamps[slot] == s),
+                    "endpoint stamps of {e} differ"
+                );
+                assert!(s <= self.clock, "stamp of {e} is ahead of the clock");
             }
-            assert_eq!(walked, d, "list length != degree at {v}");
-            assert_eq!(self.tail[v as usize], prev, "tail out of sync at {v}");
+            let mut sorted = stamps.to_vec();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(sorted.len(), stamps.len(), "repeated stamp at {v}");
         }
     }
 }
 
 impl RecencyMatching for LruBMatching {
     fn new(n: usize, b: usize) -> Self {
-        // Slot ids (and the NIL sentinel) live in u32: guard the capacity
-        // the same way the BTree reference guards its stamp clock, instead
-        // of silently aliasing list nodes past 2^32 slots.
-        assert!(
-            (n as u128) * (b as u128) < NIL as u128,
-            "n*b = {n}*{b} exceeds the u32 slot space of the intrusive LRU"
-        );
-        Self {
-            matching: BMatching::new(n, b),
-            prev: vec![NIL; n * b],
-            next: vec![NIL; n * b],
-            head: vec![NIL; n],
-            tail: vec![NIL; n],
-        }
+        Self::with_start_clock(n, b, 0)
     }
 
     #[inline]
@@ -217,28 +176,19 @@ impl RecencyMatching for LruBMatching {
 
     #[inline]
     fn touch_hit(&mut self, pair: Pair) -> bool {
-        // The membership probe *is* the list-node lookup.
-        let Some([lo_pos, hi_pos]) = self.matching.positions(pair) else {
+        // The membership probe *is* the slot lookup.
+        let Some(positions) = self.matching.positions(pair) else {
             return false;
         };
-        for (v, pos) in [(pair.lo(), lo_pos), (pair.hi(), hi_pos)] {
-            let slot = self.slot(v, pos);
-            if self.tail[v as usize] != slot {
-                self.unlink(v, slot);
-                self.push_mru(v, slot);
-            }
-        }
+        self.stamp(pair, positions);
         true
     }
 
     fn insert_mru(&mut self, pair: Pair) {
-        let (u, w) = pair.endpoints();
-        // BMatching appends at the degree index; record both before insert.
-        let su = self.slot(u, self.matching.degree(u));
-        let sw = self.slot(w, self.matching.degree(w));
+        // BMatching appends, so the new edge sits last in both blocks.
         self.matching.insert(pair);
-        self.push_mru(u, su);
-        self.push_mru(w, sw);
+        let positions = [pair.lo(), pair.hi()].map(|v| self.matching.degree(v) - 1);
+        self.stamp(pair, positions);
     }
 
     fn remove(&mut self, pair: Pair) -> bool {
@@ -246,14 +196,10 @@ impl RecencyMatching for LruBMatching {
             return false;
         };
         for (v, pos) in [pair.lo(), pair.hi()].into_iter().zip(positions) {
-            let slot = self.slot(v, pos);
-            let last = self.slot(v, self.matching.degree(v) - 1);
-            self.unlink(v, slot);
-            if slot != last {
-                // Mirror the swap-remove: the block's last edge moves into
-                // the hole, so its list node follows.
-                self.relabel(v, last, slot);
-            }
+            // Mirror the swap-remove: the block's last edge moves into the
+            // hole, so its stamp follows.
+            let (hole, last) = (self.slot(v, pos), self.slot(v, self.matching.degree(v) - 1));
+            self.stamps[hole] = self.stamps[last];
         }
         self.matching.remove(pair);
         true
@@ -261,22 +207,20 @@ impl RecencyMatching for LruBMatching {
 
     #[inline]
     fn lru_edge(&self, v: NodeId) -> Option<Pair> {
-        let slot = self.head[v as usize];
-        (slot != NIL).then(|| {
-            let pos = slot as usize - v as usize * self.matching.cap();
-            self.matching.incident_edges(v)[pos]
-        })
+        let stamps = self.rack_stamps(v);
+        let pos = (0..stamps.len()).min_by_key(|&i| stamps[i])?;
+        Some(self.matching.incident_edges(v)[pos])
     }
 
     fn recency_order(&self, v: NodeId) -> Vec<Pair> {
-        let base = v as usize * self.matching.cap();
-        let mut out = Vec::with_capacity(self.matching.degree(v));
-        let mut slot = self.head[v as usize];
-        while slot != NIL {
-            out.push(self.matching.incident_edges(v)[slot as usize - base]);
-            slot = self.next[slot as usize];
-        }
-        out
+        let mut order: Vec<(u64, Pair)> = self
+            .rack_stamps(v)
+            .iter()
+            .copied()
+            .zip(self.matching.incident_edges(v).iter().copied())
+            .collect();
+        order.sort_unstable_by_key(|&(stamp, _)| stamp);
+        order.into_iter().map(|(_, e)| e).collect()
     }
 }
 
@@ -303,9 +247,8 @@ impl BTreeRecency {
     }
 
     /// Empty index whose stamp clock starts at `clock` — lets tests probe
-    /// behaviour at very large stamps, where the stamp-based design would
-    /// wrap (and corrupt its ordering) while the intrusive list, having no
-    /// stamps, cannot.
+    /// behaviour at very large stamps, next to the overflow guard (see
+    /// [`LruBMatching::with_start_clock`]).
     pub fn with_start_clock(n: usize, clock: u64) -> Self {
         Self {
             stamp_of: FxHashMap::default(),
@@ -453,7 +396,7 @@ mod tests {
     #[test]
     fn remove_mirrors_swap_remove_relabeling() {
         // Removing a middle edge makes BMatching move its last block entry
-        // into the hole; the list node must follow, preserving order.
+        // into the hole; its stamp must follow, preserving order.
         let mut m = LruBMatching::new(6, 4);
         for v in [1u32, 2, 3, 4] {
             m.insert_mru(p(0, v));
@@ -463,7 +406,7 @@ mod tests {
         assert_eq!(m.recency_order(0), vec![p(0, 1), p(0, 3), p(0, 4)]);
         assert_eq!(m.lru_edge(0), Some(p(0, 1)));
         m.assert_valid();
-        // The other endpoints' single-entry lists survive too.
+        // The other endpoints' single-edge orders survive too.
         assert_eq!(m.recency_order(3), vec![p(0, 3)]);
     }
 
@@ -500,9 +443,10 @@ mod tests {
     #[test]
     fn large_start_clock_does_not_perturb_the_reference() {
         // Stamps near the top of the u64 range order exactly like small
-        // ones (no wrap occurs); the flat structure has no stamps at all.
-        let mut tree = BTreeRecencyMatching::with_start_clock(4, 2, u64::MAX - 16);
-        let mut flat = LruBMatching::new(4, 2);
+        // ones (no wrap occurs), in both structures.
+        let start = u64::MAX - 16;
+        let mut tree = BTreeRecencyMatching::with_start_clock(4, 2, start);
+        let mut flat = LruBMatching::with_start_clock(4, 2, start);
         for e in [p(0, 1), p(0, 2), p(0, 1), p(2, 3)] {
             if !tree.touch_hit(e) {
                 tree.insert_mru(e);
@@ -514,6 +458,7 @@ mod tests {
         for v in 0..4 {
             assert_eq!(tree.recency_order(v), flat.recency_order(v));
         }
+        flat.assert_valid();
     }
 
     #[test]
@@ -525,7 +470,15 @@ mod tests {
     }
 
     #[test]
-    fn churn_keeps_lists_and_blocks_in_sync() {
+    #[should_panic(expected = "stamp clock overflow")]
+    fn flat_clock_overflow_is_detected_not_silent() {
+        let mut flat = LruBMatching::with_start_clock(4, 2, u64::MAX - 1);
+        flat.insert_mru(p(0, 1)); // stamp u64::MAX
+        flat.touch_hit(p(0, 1)); // would wrap to 0 and reorder: abort
+    }
+
+    #[test]
+    fn churn_keeps_stamps_and_blocks_in_sync() {
         let n = 10u32;
         let mut m = LruBMatching::new(n as usize, 3);
         for i in 0..4000u32 {

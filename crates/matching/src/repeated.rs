@@ -14,8 +14,7 @@
 
 use crate::blossom::Matcher;
 use crate::WeightedEdge;
-use dcn_topology::Pair;
-use dcn_util::FxHashSet;
+use dcn_topology::{Pair, PairTable};
 
 /// Runs `b` rounds of exact maximum-weight matching on the residual edge
 /// set; returns one `Vec<Pair>` per round (the per-switch matchings).
@@ -23,13 +22,13 @@ use dcn_util::FxHashSet;
 /// each round refills its buffers from that round's residual edges.
 pub fn repeated_mwm_rounds(n: usize, edges: &[WeightedEdge], b: usize) -> Vec<Vec<Pair>> {
     assert!(b >= 1);
-    let mut taken: FxHashSet<Pair> = FxHashSet::default();
+    let mut taken: PairTable<bool> = PairTable::new(n);
     let mut solver = Matcher::default();
     let mut rounds = Vec::with_capacity(b);
     for _ in 0..b {
         let residual: Vec<WeightedEdge> = edges
             .iter()
-            .filter(|e| e.weight > 0 && !taken.contains(&Pair::new(e.u, e.v)))
+            .filter(|e| e.weight > 0 && !taken.get(Pair::new(e.u, e.v)))
             .copied()
             .collect();
         if residual.is_empty() {
@@ -38,7 +37,7 @@ pub fn repeated_mwm_rounds(n: usize, edges: &[WeightedEdge], b: usize) -> Vec<Ve
         }
         let matched = solver.matching_pairs(n, &residual);
         for &p in &matched {
-            taken.insert(p);
+            taken.set(p, true);
         }
         rounds.push(matched);
     }

@@ -1,14 +1,13 @@
-//! Side-by-side equivalence of the flat intrusive LRU
+//! Side-by-side equivalence of the flat per-slot stamps
 //! ([`LruBMatching`]) against the historical stamp/B-tree recency
 //! ([`BTreeRecencyMatching`]): random hit/miss/insert/evict/remove
 //! sequences must produce identical recency orders at **both** endpoints
 //! of every edge, identical LRU victims at every rack, and identical
-//! matchings — including when the reference's stamp clock starts near the
-//! top of the `u64` range (where a stamp-based design is one overflow away
-//! from reordering, and the stamp-free list by construction is not), and
-//! on wide blocks (b up to 18 over 28 racks), where swap-removes move
-//! edges at their `lo` and at their `hi` endpoint and the matching's
-//! position index must follow every move.
+//! matchings — including when both stamp clocks start near the top of
+//! the `u64` range (where any narrowing or wrap in stamp handling would
+//! reorder), and on wide blocks (b up to 18 over 28 racks), where
+//! swap-removes move edges at their `lo` and at their `hi` endpoint and
+//! the stamps and the matching's position index must follow every move.
 
 use dcn_matching::recency::{BTreeRecencyMatching, LruBMatching, RecencyMatching};
 use dcn_topology::{NodeId, Pair};
@@ -98,7 +97,7 @@ fn assert_equivalent(flat: &LruBMatching, tree: &BTreeRecencyMatching, n: u32, s
 
 /// Replays `ops` through both structures over `n` racks at degree cap `b`,
 /// comparing them after every step and checking the flat structure's
-/// internal consistency (lists, blocks and position index) along the way.
+/// internal consistency (stamps, blocks and position index) along the way.
 fn replay(ops: &[Op], n: u32, b: usize) {
     let mut flat = LruBMatching::new(n as usize, b);
     let mut tree = BTreeRecencyMatching::new(n as usize, b);
@@ -135,19 +134,20 @@ proptest! {
     #[test]
     fn equivalence_holds_at_large_stamp_clocks(
         ops in prop::collection::vec(op_strategy(6), 1..200),
-        // Start the reference's clock close to (but safely below) the
-        // overflow bound: stamps land in [2^63, u64::MAX), the regime where
-        // any accidental narrowing or wrap in stamp handling would reorder.
+        // Start both clocks close to (but safely below) the overflow
+        // bound: stamps land in [2^63, u64::MAX), the regime where any
+        // accidental narrowing or wrap in stamp handling would reorder.
         clock_offset in 0u64..1_000_000,
     ) {
         let n = 6u32;
         let start = (1u64 << 63) + clock_offset;
-        let mut flat = LruBMatching::new(n as usize, 2);
+        let mut flat = LruBMatching::with_start_clock(n as usize, 2, start);
         let mut tree = BTreeRecencyMatching::with_start_clock(n as usize, 2, start);
         for (step, op) in ops.iter().enumerate() {
             apply(&mut flat, op);
             apply(&mut tree, op);
             assert_equivalent(&flat, &tree, n, step);
         }
+        flat.assert_valid();
     }
 }
